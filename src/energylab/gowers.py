@@ -4,6 +4,12 @@ The unnormalized count of order d is the number of (x, h_1, ..., h_d) whose full
 combinatorial cube lies in the set.  It satisfies the recursion
 count_d(A) = sum_h count_{d-1}(A cap (A-h)) with count_1(B) = |B|^2, so order 2
 recovers the additive energy.  The normalized value is (count / N^{d+1})^{1/2^d}.
+
+The recursion runs on the level-synchronous slice frontier of `setfun`, with
+each slice as its own partner: d - 2 levels of unique slices X cap (X - h)
+with exact multiplicities, then one pass summing |X cap (X - h)|^2 over the
+last level.  It forms the pairs of members itself, so it shares no code with
+the correlation and energy routes it is checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import GSet, set_correlate
+from .setfun import GSet, _Frontier, set_correlate
 
 GOWERS_MAX_ORDER = 6
 
@@ -24,30 +30,19 @@ class GowersValue:
     normalized: float
 
 
-def _u_count(A: GSet, d: int, memo: dict) -> int:
-    if A.card == 0:
-        return 0
-    if d == 1:
-        return A.card * A.card
-    key = (d, A.key())
-    got = memo.get(key)
-    if got is not None:
-        return got
-    total = 0
-    corr = set_correlate(A, A)
-    for h in np.flatnonzero(corr).tolist():
-        total += _u_count(A.slice1(h), d - 1, memo)
-    memo[key] = total
-    return total
-
-
 def gowers_u(A: GSet, d: int) -> GowersValue:
     """Unnormalized order-d uniformity count of the indicator of A."""
     if d < 1:
         raise ValueError("order must be >= 1")
     if d > GOWERS_MAX_ORDER:
         raise ValueError(f"order {d} exceeds the practical cap {GOWERS_MAX_ORDER}")
-    count = _u_count(A, d, {})
+    if A.card == 0:
+        count = 0
+    elif d == 1:
+        count = A.card * A.card
+    else:
+        frontier = _Frontier(A, d - 2, self_partner=True)
+        count = frontier.total(A.group.sub_indices, square=True, tick=False)
     N = A.group.size
     normalized = (count / N ** (d + 1)) ** (1.0 / (1 << d))
     return GowersValue(count=count, d=d, normalized=normalized)

@@ -65,10 +65,11 @@ class GroupSpec:
         return len(self.factors) == 1
 
     def decode(self, idx):
-        """Index -> coordinate vector(s).  Scalar in, tuple out; array in, (m, r) array out."""
+        """Index -> coordinate vector(s).  Scalar in, tuple out; array of shape s in,
+        array of shape s + (r,) out."""
         scalar = np.isscalar(idx) or isinstance(idx, (int, np.integer))
         a = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        coords = (a[:, None] // self.weights[None, :]) % self._factor_arr[None, :]
+        coords = (a[..., None] // self.weights) % self._factor_arr
         if scalar:
             return tuple(int(c) for c in coords[0])
         return coords

@@ -4,6 +4,13 @@ correlations, slices, sumsets, and tuple-indexed sumset counts.
 Everything here is exact.  int64 is used when a certified bound fits; otherwise
 the computation escalates to Python integers (never wraps).  The float transform
 path lives in `group` and is only compared against, never trusted.
+
+A set is a boolean membership array over the group's indices; that is its only
+representation.  The tuple-indexed counts, and the uniformity counts of
+`gowers`, run on one level-synchronous slice frontier (`_Frontier`): each level
+holds the unique slices with exact multiplicities and is built from the pairs
+of members in bounded chunks.  Their node budget counts one node per (unique
+slice, shift) expansion.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ class BudgetError(RuntimeError):
 class GSet:
     """A subset of a group: flat boolean membership array plus cached cardinality."""
 
-    __slots__ = ("group", "mask", "_card", "_members", "_intmask", "_slice1", "_bytes")
+    __slots__ = ("group", "mask", "_card", "_members", "_slice1", "_bytes")
 
     def __init__(self, group: GroupSpec, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool).reshape(group.size)
@@ -36,7 +43,6 @@ class GSet:
         self.mask.setflags(write=False)
         self._card: int | None = None
         self._members: np.ndarray | None = None
-        self._intmask: int | None = None
         self._slice1: dict[int, "GSet"] = {}
         self._bytes: bytes | None = None
 
@@ -99,24 +105,6 @@ class GSet:
         more = ",..." if self.card > 12 else ""
         return f"GSet({self.group}, card={self.card}, {{{show}{more}}})"
 
-    def int_mask(self) -> int:
-        """Membership as a Python int bitmask (bit i == index i)."""
-        if self._intmask is None:
-            m = 0
-            for i in self.members.tolist():
-                m |= 1 << i
-            self._intmask = m
-        return self._intmask
-
-    @classmethod
-    def from_int_mask(cls, group: GroupSpec, m: int) -> "GSet":
-        mask = np.zeros(group.size, dtype=bool)
-        while m:
-            lsb = m & -m
-            mask[lsb.bit_length() - 1] = True
-            m ^= lsb
-        return cls(group, mask)
-
     # -- algebra ----------------------------------------------------------------
 
     def _roll(self, b: int) -> np.ndarray:
@@ -147,7 +135,7 @@ class GSet:
     __or__ = union
 
     def slice1(self, s: int) -> "GSet":
-        """A âˆ© (A - s), cached per shift."""
+        """A cap (A - s), cached per shift."""
         got = self._slice1.get(s)
         if got is None:
             got = GSet(self.group, self.mask & self.shift_minus(s).mask)
@@ -420,83 +408,202 @@ def difference_set(A: GSet, B: GSet) -> GSet:
 
 # -- tuple-indexed sumset counts ---------------------------------------------------
 
+# member pairs formed at once by the slice frontier; bounds its working set
+FRONTIER_CHUNK = 1 << 14
 
-class _SliceMachine:
-    """Shared machinery for enumerating shift tuples with nonempty slices.
 
-    Works on Python int bitmasks.  For each member b of A it precomputes the
-    bitmask of A-b (the valid next shifts s with X cap (A-s) nonempty always lie
-    in A-X = union of A-b over b in X) and the bitmask of (A-s) per candidate s.
+def _exact_dot(mult: np.ndarray, w: np.ndarray) -> int:
+    """sum(mult * w) exactly; int64 only when the total provably fits."""
+    if mult.dtype != object and int(mult.max()) * int(w.sum()) < INT64_SAFE_BOUND:
+        return int(np.dot(mult, w))
+    return int(np.dot(mult.astype(object), w.astype(object)))
+
+
+def _merge_rows(parts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique member rows of one size, with their multiplicities summed.
+
+    Rows are compared on their sorted members: packed into base-N digits when
+    that fits in int64, column by column otherwise."""
+    C = np.concatenate([c for c, _ in parts])
+    m = np.concatenate([m for _, m in parts])
+    k = C.shape[1]
+    if N ** k < INT64_SAFE_BOUND:
+        key = C @ (N ** np.arange(k, dtype=np.int64))
+        order = np.argsort(key)
+        key = key[order]
+        new = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(C.T[::-1])
+        sorted_rows = C[order]
+        new = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    first = np.flatnonzero(np.r_[True, new])
+    return C[order[first]], np.add.reduceat(m[order], first)
+
+
+class _Frontier:
+    """Level-synchronous slice expansion behind the slice-tuple and uniformity counts.
+
+    A level holds the unique slices X reached after `depth` shifts, each with
+    the exact number of shift tuples reaching it.  `blocks` maps a size k to a
+    (rows, k) array of sorted members and the rows' multiplicities.  Expanding
+    replaces every X by its children X cap (P - s), s in P - X (exactly the
+    shifts with a nonempty child), where the partner P is A for the slice-tuple
+    counts and X itself for the uniformity counts; equal children merge and add
+    their multiplicities.  A child's members are the x of the pairs (x in X,
+    y in P) with y - x = s, so one pass over the pairs, grouped by (row, s),
+    builds a whole level.
+
+    The constructor expands `levels` times from {A}.  One node is one (unique
+    slice, shift) expansion, so the node total does not depend on the chunking;
+    `budget` caps it, final pass included.
+    Pairs are formed at most FRONTIER_CHUNK at a time; a row with more pairs
+    than that is handled alone, its members in slices and its children from
+    boolean masks, a block of shifts at a time.
     """
 
-    def __init__(self, A: GSet, budget: int | None = None):
-        self.A = A
+    def __init__(self, A: GSet, levels: int, self_partner: bool = False,
+                 budget: int | None = None):
         self.group = A.group
-        self.budget = DEFAULT_NODE_BUDGET if budget is None else budget
+        self.partner = None if self_partner else A.members
+        self.partner_mask = None if self_partner else A.mask
+        self.budget = budget
         self.nodes = 0
-        self._diff_from: dict[int, int] = {}   # b -> intmask of A-b
-        self._sum_from: dict[int, int] = {}    # b -> intmask of A+b
-        self._shifted: dict[int, int] = {}     # s -> intmask of A-s
+        self.depth = 0
+        self.blocks = {A.card: (A.members[None, :], np.ones(1, dtype=np.int64))}
+        for _ in range(levels):
+            self._expand()
 
-    def diff_from(self, b: int) -> int:
-        got = self._diff_from.get(b)
-        if got is None:
-            got = GSet(self.group, self.A._roll(int(self.group.neg_perm[b]))).int_mask()
-            self._diff_from[b] = got
-        return got
-
-    def sum_from(self, b: int) -> int:
-        got = self._sum_from.get(b)
-        if got is None:
-            got = GSet(self.group, self.A._roll(int(b))).int_mask()
-            self._sum_from[b] = got
-        return got
-
-    def shifted(self, s: int) -> int:
-        got = self._shifted.get(s)
-        if got is None:
-            got = GSet(self.group, self.A.shift_minus(s).mask).int_mask()
-            self._shifted[s] = got
-        return got
-
-    def candidate_shifts(self, xmask: int) -> int:
-        """Bitmask of {s : X cap (A-s) nonempty} = A - X."""
-        out = 0
-        m = xmask
-        while m:
-            lsb = m & -m
-            out |= self.diff_from(lsb.bit_length() - 1)
-            m ^= lsb
-        return out
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def _tick(self, n: int) -> None:
+        self.nodes += n
+        if self.budget is not None and self.nodes > self.budget:
             raise BudgetError(f"slice-tuple enumeration exceeded budget ({self.budget} nodes)")
 
+    def _width(self, k: int) -> int:
+        """Partner size of a row with k members."""
+        return k if self.partner is None else self.partner.size
 
-def _bits(m: int):
-    while m:
-        lsb = m & -m
-        yield lsb.bit_length() - 1
-        m ^= lsb
+    def _chunks(self, M: np.ndarray):
+        """Row ranges of M holding at most FRONTIER_CHUNK pairs; a row over the cap comes alone."""
+        n, k = M.shape
+        pairs = k * self._width(k)
+        step = max(1, FRONTIER_CHUNK // pairs)
+        for lo in range(0, n, step):
+            yield lo, min(lo + step, n), pairs > FRONTIER_CHUNK
+
+    def _pairs(self, M: np.ndarray, op) -> np.ndarray:
+        """Keys row * N + op(y, x) over x in each row of M and y in its partner.
+
+        Flat in (row, x, y) order, so pair i has x = M.flat[i // |partner|]."""
+        part = M[:, None, :] if self.partner is None else self.partner[None, None, :]
+        key = op(part, M[:, :, None])
+        key += (np.arange(M.shape[0], dtype=np.int64) * self.group.size)[:, None, None]
+        return key.reshape(-1)
+
+    def _row_counts(self, x: np.ndarray, op) -> np.ndarray:
+        """For one row over the cap: counts[t] = #{(x, y) : op(y, x) = t}."""
+        size = self.group.size
+        part = x if self.partner is None else self.partner
+        counts = np.zeros(size, dtype=np.int64)
+        # at least N pairs per slice, so each bincount pays for its N-long result
+        step = max(1, max(FRONTIER_CHUNK, size) // self._width(x.size))
+        for lo in range(0, x.size, step):
+            counts += np.bincount(op(part[None, :], x[lo:lo + step, None]).reshape(-1),
+                                  minlength=size)
+        return counts
+
+    def _row_children(self, x: np.ndarray):
+        """(row, size, members) of the children of one row over the cap."""
+        g = self.group
+        N = g.size
+        counts = self._row_counts(x, g.sub_indices)
+        shifts = np.flatnonzero(counts)
+        own = np.zeros(N, dtype=bool)
+        own[x] = True
+        part = own if self.partner is None else self.partner_mask
+        step = max(1, FRONTIER_CHUNK // N)
+        members = []
+        for lo in range(0, shifts.size, step):
+            blk = shifts[lo:lo + step]
+            # row j, column z: z in X and z + s_j in P
+            moved = part[g.add_indices(g.index_range[None, :], blk[:, None])]
+            members.append(np.nonzero(moved & own)[1])
+        return np.zeros(shifts.size, dtype=np.int64), counts[shifts], np.concatenate(members)
+
+    def _expand(self) -> None:
+        """Replace the level by its children, one shift deeper."""
+        g = self.group
+        N = g.size
+        self.depth += 1
+        big = N ** self.depth >= INT64_SAFE_BOUND
+        found: dict[int, list] = {}
+        for M, mult in self.blocks.values():
+            if big:
+                mult = mult.astype(object)
+            for lo, hi, alone in self._chunks(M):
+                if alone:
+                    rows, sizes, xs = self._row_children(M[lo])
+                else:
+                    # group the pairs by (row, s); the stable sort keeps each group's x ascending
+                    key = self._pairs(M[lo:hi], g.sub_indices)
+                    order = np.argsort(key, kind="stable")
+                    key = key[order]
+                    xs = M[lo:hi].reshape(-1)[order // self._width(M.shape[1])]
+                    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                    sizes = np.diff(np.r_[first, key.size])
+                    rows = key[first] // N
+                self._tick(sizes.size)
+                # children of one size k become a (count, k) member array
+                starts = np.cumsum(sizes) - sizes
+                m = mult[lo + rows]
+                by = np.argsort(sizes, kind="stable")
+                ordered = sizes[by]
+                cuts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+                for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                    sel = by[a:b]
+                    k = int(ordered[a])
+                    found.setdefault(k, []).append(
+                        (xs[starts[sel][:, None] + np.arange(k)], m[sel]))
+        self.blocks = {k: _merge_rows(parts, N) for k, parts in found.items()}
+
+    def total(self, op, square: bool, tick: bool) -> int:
+        """Sum over rows X of mult(X) times the number of distinct op(y, x), or with
+        `square` the sum of squared pair counts per value, over x in X, y in its partner."""
+        N = self.group.size
+        total = 0
+        for M, mult in self.blocks.values():
+            for lo, hi, alone in self._chunks(M):
+                if alone:
+                    counts = self._row_counts(M[lo], op)
+                    counts = counts[counts > 0]
+                    rows = np.zeros(counts.size, dtype=np.int64)
+                else:
+                    key = self._pairs(M[lo:hi], op)
+                    cells = (hi - lo) * N
+                    if cells <= 4 * key.size:
+                        # dense rows: a table of every (row, value) beats sorting the pairs
+                        values = np.bincount(key, minlength=cells)
+                        rows = np.flatnonzero(values)
+                        counts = values[rows]
+                    else:
+                        rows, counts = np.unique(key, return_counts=True)
+                    rows //= N
+                if tick:
+                    self._tick(counts.size)
+                weight = counts * counts if square else np.ones_like(counts)
+                total += _exact_dot(mult[lo + rows], weight)
+        return total
 
 
-def _tuple_sum(machine: _SliceMachine, xmask: int, depth: int, leaf, memo: dict) -> int:
-    """Sum of leaf(X) over all shift tuples of the given arity with nonempty slices X."""
-    if depth == 0:
-        return leaf(xmask)
-    key = (xmask, depth)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    total = 0
-    for s in _bits(machine.candidate_shifts(xmask)):
-        machine.tick()
-        child = xmask & machine.shifted(s)
-        total += _tuple_sum(machine, child, depth - 1, leaf, memo)
-    memo[key] = total
-    return total
+def _sumset_tuple_total(A: GSet, arity: int, sign: str, budget: int | None) -> int:
+    if arity < 0:
+        raise ValueError("arity must be >= 0")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if not A.card:
+        return 0
+    frontier = _Frontier(A, arity, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
+    g = A.group
+    return frontier.total(g.sub_indices if sign == "-" else g.add_indices, square=False, tick=False)
 
 
 def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) -> int:
@@ -510,8 +617,8 @@ def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) 
         return 0
     if arity == 0:
         return 1
-    machine = _SliceMachine(A, budget)
-    return _tuple_sum(machine, A.int_mask(), arity, lambda _m: 1, {})
+    frontier = _Frontier(A, arity - 1, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
+    return frontier.total(A.group.sub_indices, square=False, tick=True)
 
 
 def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> int:
@@ -526,16 +633,7 @@ def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> 
         raise ValueError("n must be >= 2")
     if not A.card:
         return 0
-    machine = _SliceMachine(A, budget)
-    pick = machine.diff_from if sign == "-" else machine.sum_from
-
-    def leaf(xmask: int) -> int:
-        out = 0
-        for b in _bits(xmask):
-            out |= pick(b)
-        return out.bit_count()
-
-    ident = _tuple_sum(machine, A.int_mask(), n - 1, leaf, {})
+    ident = _sumset_tuple_total(A, n - 1, sign, budget)
     if n == 2:
         direct = delta_pairs_direct(A, sign)
         if direct != ident:
@@ -545,32 +643,25 @@ def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> 
 
 
 def delta_pairs_direct(A: GSet, sign: str) -> int:
-    """|A^2 -+ Delta(A)| by the direct distinct-pair sweep (no shift tuples)."""
+    """|A^2 -+ Delta(A)| by the direct distinct-pair sweep (no shift tuples).
+
+    Row x is the union of the translates A -+ a that contain x; the count is the
+    total size of the rows."""
     g = A.group
-    rows: dict[int, int] = {}
-    for a in A.members.tolist():
-        if sign == "-":
-            moved = GSet(g, A._roll(int(g.neg_perm[a])))
-        else:
-            moved = GSet(g, A._roll(int(a)))
-        m = moved.int_mask()
-        for x in moved.members.tolist():
-            rows[x] = rows.get(x, 0) | m
-    return sum(r.bit_count() for r in rows.values())
+    moved = [A._roll(int(g.neg_perm[a]) if sign == "-" else int(a)) for a in A.members.tolist()]
+    reach = np.zeros(g.size, dtype=bool)
+    for m in moved:
+        reach |= m
+    pos = np.cumsum(reach) - 1
+    rows = np.zeros((int(np.count_nonzero(reach)), g.size), dtype=bool)
+    for m in moved:
+        rows[pos[m]] |= m
+    return int(np.count_nonzero(rows))
 
 
 def tuple_sumset_sum(A: GSet, arity: int, sign: str, budget: int | None = None) -> int:
     """sum over nonempty arity-tuples of |A -+ A_tuple| (the identity-path summand)."""
-    machine = _SliceMachine(A, budget)
-    pick = machine.diff_from if sign == "-" else machine.sum_from
-
-    def leaf(xmask: int) -> int:
-        out = 0
-        for b in _bits(xmask):
-            out |= pick(b)
-        return out.bit_count()
-
-    return _tuple_sum(machine, A.int_mask(), arity, leaf, {})
+    return _sumset_tuple_total(A, arity, sign, budget)
 
 
 # -- inclusion checks -----------------------------------------------------------

@@ -78,12 +78,13 @@ class DisjointFamily:
 
     def audit(self, inside: Callable[[object], GSet] | None = None) -> None:
         """Re-verify disjointness, per-member size, and inclusion in the claimed parent."""
-        union = 0
+        union: np.ndarray | None = None
         for tag, S in self.members:
-            m = S.int_mask()
-            if m & union:
+            if union is None:
+                union = np.zeros(S.group.size, dtype=bool)
+            if np.any(union[S.members]):
                 raise AssertionError("family members are not pairwise disjoint")
-            union |= m
+            union[S.members] = True
             if S.card < self.min_size:
                 raise AssertionError(f"member of size {S.card} under the floor {self.min_size}")
             if inside is not None:
@@ -106,14 +107,12 @@ def greedy_disjoint_translates(A: GSet, B: GSet) -> DisjointFamily:
         raise ValueError("group mismatch")
     if not A.card or not B.card:
         raise PreconditionError("both sets must be nonempty")
-    taken = 0
+    taken = np.zeros(A.group.size, dtype=bool)
     members: list[tuple[object, GSet]] = []
     for b in B.members.tolist():
-        shifted = A.translate(b)
-        residual = shifted.int_mask() & ~taken
-        if 2 * residual.bit_count() >= A.card:
-            piece = GSet.from_int_mask(A.group, residual)
-            members.append((b, piece))
+        residual = A._roll(b) & ~taken
+        if 2 * np.count_nonzero(residual) >= A.card:
+            members.append((b, GSet(A.group, residual)))
             taken |= residual
     e = pair_energy(A, B)
     bound = A.card * B.card * B.card / (16.0 * e)
@@ -143,19 +142,14 @@ def greedy_disjoint_in_target(A: GSet, B: GSet, S: GSet) -> DisjointFamily:
     if sigma < 16 * B.card:
         raise PreconditionError(f"sigma={sigma} below 16|B|={16 * B.card}; bound not guaranteed")
     piece_size = -(-sigma // (8 * B.card))  # ceil
-    taken = 0
-    smask = S.int_mask()
+    taken = np.zeros(A.group.size, dtype=bool)
     members: list[tuple[object, GSet]] = []
     for b in B.members.tolist():
-        window = (A.translate(b).int_mask() & smask) & ~taken
-        if window.bit_count() >= piece_size:
-            kept = 0
-            m = window
-            for _ in range(piece_size):
-                lsb = m & -m
-                kept |= lsb
-                m ^= lsb
-            members.append((b, GSet.from_int_mask(A.group, kept)))
+        window = np.flatnonzero(A._roll(b) & S.mask & ~taken)
+        if window.size >= piece_size:
+            kept = np.zeros(A.group.size, dtype=bool)
+            kept[window[:piece_size]] = True
+            members.append((b, GSet(A.group, kept)))
             taken |= kept
     e = pair_energy(A, B)
     bound = sigma ** 3 / (256.0 * A.card * A.card * B.card * e)
@@ -187,27 +181,20 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
     if any(ca[s] == 0 for s in D.members.tolist()):
         raise PreconditionError("D must sit inside A - A (every slice nonempty)")
 
-    diff_sizes: dict[int, int] = {}
-    diff_masks: dict[int, int] = {}
+    diff_masks: dict[int, np.ndarray] = {}
+    diff_sizes = np.zeros(A.group.size, dtype=np.int64)
     for s in D.members.tolist():
-        dmask = difference_set(A, A.slice1(s)).int_mask()
-        diff_masks[s] = dmask
-        diff_sizes[s] = dmask.bit_count()
-    sigma = sum(diff_sizes.values())
+        dset = difference_set(A, A.slice1(s))
+        diff_masks[s] = dset.mask
+        diff_sizes[s] = dset.card
+    sigma = int(diff_sizes.sum())
 
-    surviving = D.int_mask()
+    surviving = D.mask.copy()
     members: list[tuple[object, GSet]] = []
     half = D.card / 2.0
-    while surviving.bit_count() >= half:
-        best_s, best_v = -1, None
-        m = surviving
-        while m:
-            lsb = m & -m
-            s = lsb.bit_length() - 1
-            v = diff_sizes[s]
-            if best_v is None or v < best_v:
-                best_s, best_v = s, v
-            m ^= lsb
+    while np.count_nonzero(surviving) >= half:
+        # argmin returns the first minimum, i.e. ties go to the smallest index
+        best_s = int(np.argmin(np.where(surviving, diff_sizes, np.iinfo(np.int64).max)))
         members.append((best_s, A.slice1(best_s)))
         surviving &= ~diff_masks[best_s]
 

@@ -190,10 +190,7 @@ class DenseFunc:
         return np.flatnonzero(self.values)
 
     def max_abs(self) -> int:
-        sup = self.support()
-        if not sup.size:
-            return 0
-        return int(max(abs(int(v)) for v in np.asarray(self.values)[sup].tolist()))
+        return _max_abs(self.values)
 
 
 def as_func(f) -> DenseFunc:
@@ -205,6 +202,16 @@ def as_func(f) -> DenseFunc:
 
 
 # -- exact convolution / correlation ------------------------------------------
+
+
+def _max_abs(values: np.ndarray) -> int:
+    """max |int(v)| over the values (0 when empty).  Taken from the max and the
+    min so that no int64 negation can wrap; only object arrays loop in Python."""
+    if not values.size:
+        return 0
+    if values.dtype == object:
+        return max(abs(int(v)) for v in values.tolist())
+    return max(int(values.max()), -int(values.min()), 0)
 
 
 def _abs_sum(values: np.ndarray) -> int:
@@ -230,8 +237,8 @@ def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int) -> np
     sb = np.flatnonzero(b)
     if not sa.size or not sb.size:
         return np.zeros(group.size, dtype=np.int64)
-    max_a = int(max(abs(int(v)) for v in a[sa].tolist()))
-    max_b = int(max(abs(int(v)) for v in b[sb].tolist()))
+    max_a = _max_abs(a)
+    max_b = _max_abs(b)
     bound = min(_abs_sum(a[sa]) * max_b, _abs_sum(b[sb]) * max_a)
     big = bound >= INT64_SAFE_BOUND
 

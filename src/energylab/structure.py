@@ -8,6 +8,22 @@ subset searches enumerate bitmasks in ascending integer order (bit i of a mask
 is the i-th smallest member) and return the first qualifying subset; the
 randomized family uses a counter-based generator keyed by the caller's seed,
 with retries drawing further along the same stream.
+
+The exhaustive scans of E_alpha (connectedness) and |B - B| (the oracle) fill
+one value per subset mask S.  Both are sums over difference classes d of a
+function of cnt_d(S), the number of ordered member pairs with difference d
+inside S, and both run on the pairs grouped by class (`_pair_classes`):
+- integer alpha = k: cnt_d(S)^k counts the k-tuples of class-d pairs whose
+  union lies in S, so one zeta (subset-sum) transform of the histogram of
+  those unions gives every E_k(S), exactly, while the tuple count E_k(A) is
+  at most 2^m;
+- the oracle: [cnt_d(S) > 0] is an inclusion-exclusion sum over the class's
+  distinct pairs, transformed the same way while its terms number at most 2^m;
+- otherwise, and for non-integer alpha, a class sweep counts cnt_d(S) for all
+  masks in uint8 and adds table[cnt_d(S)] class by class in ascending order,
+  so float results are reproducible to the bit.  Integer sums stay in int64
+  while E_k(A) < INT64_SAFE_BOUND and use Python integers beyond.
+The route follows from alpha and the class sizes alone.
 """
 
 from __future__ import annotations
@@ -20,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import WeightKernel, energy_k, pair_energy
-from .setfun import (DenseFunc, GSet, convolve, correlate, difference_set,
-                     set_convolve, set_correlate)
+from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, convolve, correlate,
+                     difference_set, set_convolve, set_correlate)
 
 SUBSET_SEARCH_CAP = 22
 ORACLE_CAP = 18
@@ -312,41 +328,128 @@ def _popcounts(n_masks: int) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-def _difference_classes(A: GSet) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise difference table of the members: (m*m array of class ids, class diffs)."""
+def _pair_classes(A: GSet) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered member pairs grouped by difference class: (masks, bounds).
+
+    Class c is the c-th smallest difference index d (class 0 is d = 0) and owns
+    masks[bounds[c]:bounds[c + 1]]: the bitmasks 1<<i | 1<<j of its pairs (i, j)
+    with a_i - a_j = d, in ascending (i, j) order.  For a subset mask S,
+    cnt_d(S) is the number of those masks inside S, which is (B o B)(d)."""
     g = A.group
     mem = A.members
     m = mem.size
-    xs = np.repeat(mem, m)
-    ys = np.tile(mem, m)
-    diffs = g.sub_indices(xs, ys).reshape(m, m)
-    uniq, inv = np.unique(diffs, return_inverse=True)
-    return inv.reshape(m, m), uniq
+    diffs = g.sub_indices(np.repeat(mem, m), np.tile(mem, m))
+    _uniq, cls = np.unique(diffs, return_inverse=True)
+    order = np.argsort(cls, kind="stable")
+    i, j = np.divmod(order, m)
+    masks = (np.int64(1) << i) | (np.int64(1) << j)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cls))))
+    return masks, bounds
 
 
-def _subset_correlation_power_sums(A: GSet, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """For every subset mask S of A's members: sum over difference classes of
-    count_d(S)^alpha, plus the popcount table.  Vectorized over all 2^m masks."""
-    m = A.card
-    if m > SUBSET_SEARCH_CAP:
-        raise ValueError(f"|A| = {m} exceeds the exhaustive-search cap {SUBSET_SEARCH_CAP}")
+def _zeta(h: np.ndarray, m: int) -> np.ndarray:
+    """In place: h[S] becomes the sum of h[T] over all T inside S (m passes)."""
+    for i in range(m):
+        v = h.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    return h
+
+
+def _class_sweep(m: int, masks: np.ndarray, bounds: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """sum_d lut[cnt_d(S)] for every mask S, added class by class in ascending order
+    (so a float result is reproducible to the bit).  Counts are uint8: cnt_d <= m."""
     n_masks = 1 << m
-    classes, uniq = _difference_classes(A)
-    pops = _popcounts(n_masks)
-    masks = np.arange(n_masks, dtype=np.int64)
-    bit = [(masks >> i) & 1 for i in range(m)]
-    integer_alpha = float(alpha) == int(alpha)
-    acc = np.zeros(n_masks, dtype=np.int64 if integer_alpha else np.float64)
-    for d in range(uniq.size):
-        pairs = np.argwhere(classes == d)
-        cnt = np.zeros(n_masks, dtype=np.int64)
-        for i, j in pairs:
-            cnt += bit[i] & bit[j]
-        if integer_alpha:
-            acc += cnt ** int(alpha)
-        else:
-            acc += np.where(cnt > 0, cnt.astype(np.float64), 1.0) ** float(alpha) * (cnt > 0)
-    return acc, pops
+    idx = np.arange(n_masks, dtype=np.uint32)
+    bits = [((idx >> i) & 1).astype(np.uint8) for i in range(m)]
+    acc = np.zeros(n_masks, dtype=lut.dtype)
+    term = np.empty(n_masks, dtype=lut.dtype)
+    cnt = np.empty(n_masks, dtype=np.uint8)
+    pair = np.empty(n_masks, dtype=np.uint8)
+    for c in range(bounds.size - 1):
+        cnt.fill(0)
+        for mk in masks[bounds[c]:bounds[c + 1]].tolist():
+            np.bitwise_and(bits[(mk & -mk).bit_length() - 1], bits[mk.bit_length() - 1], out=pair)
+            cnt += pair
+        # every count indexes the table, so "clip" never clips; it lets take write into term
+        np.take(lut, cnt, out=term, mode="clip")
+        acc += term
+    return acc
+
+
+def _tuple_unions(masks: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
+    """The OR of every k-tuple of pair masks drawn from one class, over all classes:
+    sum_d |P_d|^k entries.  cnt_d(S)^k counts the tuples of class d inside S."""
+    sizes = np.diff(bounds)
+    unions = masks
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    for _ in range(k - 1):
+        reps = sizes[owner]
+        src = np.repeat(np.arange(unions.size), reps)
+        within = np.arange(src.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        owner = owner[src]
+        unions = unions[src] | masks[bounds[owner] + within]
+    return unions
+
+
+def _subset_power_sums(A: GSet, alpha: float) -> np.ndarray:
+    """E_alpha of the subset at every mask S: sum over classes of cnt_d(S)^alpha.
+
+    Integer alpha = k is exact.  When the tuple count sum_d |P_d|^k, which is
+    E_k(A), is at most 2^m, one zeta transform of the histogram of the k-tuple
+    unions gives every value.  Otherwise the class sweep runs, in int64 while
+    E_k(A) (an upper bound on every E_k(S), itself at most m^(k+1)) is below
+    INT64_SAFE_BOUND and in Python ints beyond.  Non-integer alpha is a float
+    class sweep."""
+    m = A.card
+    masks, bounds = _pair_classes(A)
+    sizes = np.diff(bounds)
+    c = np.arange(int(sizes.max()) + 1)
+    if float(alpha) != int(alpha):
+        lut = np.where(c > 0, c.astype(np.float64), 1.0) ** float(alpha) * (c > 0)
+        return _class_sweep(m, masks, bounds, lut)
+    k = int(alpha)
+    e_full = sum(int(s) ** k for s in sizes.tolist())
+    if k >= 1 and e_full <= 1 << m:
+        return _zeta(np.bincount(_tuple_unions(masks, bounds, k), minlength=1 << m), m)
+    dtype = np.int64 if e_full < INT64_SAFE_BOUND else object
+    return _class_sweep(m, masks, bounds, np.array([v ** k for v in c.tolist()], dtype=dtype))
+
+
+def _subset_difference_counts(A: GSet) -> np.ndarray:
+    """|B - B| of the subset at every mask S: the number of classes with cnt_d(S) > 0.
+
+    Class 0 (d = 0) counts for every nonempty S.  For another class with distinct
+    pair masks p_1..p_n, inclusion-exclusion gives [cnt_d(S) > 0] as the sum over
+    nonempty K of (-1)^(|K|+1) [union of p_K inside S]; while those 2^n - 1 terms
+    sum to at most 2^m over the classes, one zeta transform of their signed
+    histogram gives every count.  Otherwise the class sweep counts [cnt_d > 0]."""
+    m = A.card
+    n_masks = 1 << m
+    masks, bounds = _pair_classes(A)
+    pair_class = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    # (i, j) and (j, i) share a mask, and one class, exactly when 2d = 0
+    key = np.unique((pair_class[bounds[1]:] << m) | masks[bounds[1]:])
+    key_owner, key_mask = key >> m, key & (n_masks - 1)
+    distinct = np.bincount(key_owner, minlength=bounds.size - 1)
+    if sum((1 << int(n)) - 1 for n in distinct.tolist()) > n_masks:
+        return _class_sweep(m, masks, bounds, (np.arange(m + 1) > 0).astype(np.int64))
+    rank = np.arange(key.size) - (np.cumsum(distinct) - distinct)[key_owner]
+    table = np.zeros((bounds.size - 1, int(distinct.max(initial=0))), dtype=np.int64)
+    table[key_owner, rank] = key_mask
+    # terms of prod_p (1 - [p inside S]) per class: (union, sign); the empty union cancels
+    owner = np.flatnonzero(distinct)
+    unions = np.zeros(owner.size, dtype=np.int64)
+    odd = np.zeros(owner.size, dtype=bool)
+    for r in range(table.shape[1]):
+        grow = distinct[owner] > r
+        owner = np.concatenate((owner, owner[grow]))
+        unions = np.concatenate((unions, unions[grow] | table[owner[grow.size:], r]))
+        odd = np.concatenate((odd, ~odd[grow]))
+    h = (np.bincount(unions[odd], minlength=n_masks)
+         - np.bincount(unions[~odd & (unions != 0)], minlength=n_masks))
+    out = _zeta(h, m)
+    out[1:] += 1
+    return out
 
 
 def connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet]:
@@ -356,11 +459,11 @@ def connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet
         raise PreconditionError("A must be nonempty")
     if A.card > SUBSET_SEARCH_CAP:
         raise ValueError(f"|A| = {A.card} exceeds the exhaustive-search cap {SUBSET_SEARCH_CAP}")
-    e_full, pops = _subset_correlation_power_sums(A, alpha)
+    e_full = _subset_power_sums(A, alpha)
     a = A.card
     full = (1 << a) - 1
     e_a = float(e_full[full])
-    sizes = pops
+    sizes = _popcounts(1 << a)
     eligible = sizes >= beta * a - 1e-9
     eligible[0] = False
     ratios = np.full(e_full.shape, np.inf)
@@ -399,12 +502,13 @@ def gowers_connectedness_gamma(A: GSet, k: int, beta: float) -> tuple[float, GSe
 
 
 def _subset_sums_over_masks(weights: np.ndarray) -> np.ndarray:
-    """DP table: for every bitmask over m items, the sum of selected weights."""
+    """DP table in the weights' dtype: for every bitmask over m items, the sum of
+    selected weights."""
     m = weights.size
-    out = np.zeros(1 << m, dtype=np.int64)
+    out = np.zeros(1 << m, dtype=weights.dtype)
     size = 1
     for i in range(m):
-        out[size:2 * size] = out[:size] + int(weights[i])
+        out[size:2 * size] = out[:size] + weights[i]
         size *= 2
     return out
 
@@ -439,7 +543,7 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
         if eq_v <= 0:
             raise PreconditionError("kernel energy vanished; no guarantee applies")
         exact = w.dtype.kind in "iu"
-        sums = _subset_sums_over_masks(w) if exact else _float_subset_sums(w)
+        sums = _subset_sums_over_masks(w if exact else w.astype(np.float64))
         pops = _popcounts(1 << m)
         lo = beta1 * m - 1e-9
         hi = beta2 * m + 1e-9
@@ -461,16 +565,6 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
         drop = [int(mem[i]) for i in range(m) if (first >> i) & 1]
         current = current.difference(GSet.from_indices(A.group, drop))
         steps += 1
-
-
-def _float_subset_sums(weights: np.ndarray) -> np.ndarray:
-    m = weights.size
-    out = np.zeros(1 << m, dtype=np.float64)
-    size = 1
-    for i in range(m):
-        out[size:2 * size] = out[:size] + float(weights[i])
-        size *= 2
-    return out
 
 
 def extraction_step_cap(A: GSet, q: WeightKernel, beta1: float, beta2: float, rho: float) -> int:
@@ -529,18 +623,8 @@ def small_doubling_subset_oracle(A: GSet, min_frac: float) -> tuple[GSet, float]
     if not A.card:
         raise PreconditionError("A must be nonempty")
     m = A.card
-    classes, uniq = _difference_classes(A)
-    n_masks = 1 << m
-    masks = np.arange(n_masks, dtype=np.int64)
-    bit = [(masks >> i) & 1 for i in range(m)]
-    pops = _popcounts(n_masks)
-    diff_count = np.zeros(n_masks, dtype=np.int64)
-    for d in range(uniq.size):
-        pairs = np.argwhere(classes == d)
-        present = np.zeros(n_masks, dtype=bool)
-        for i, j in pairs:
-            present |= (bit[i] & bit[j]).astype(bool)
-        diff_count += present
+    diff_count = _subset_difference_counts(A)
+    pops = _popcounts(1 << m)
     eligible = pops >= min_frac * m - 1e-9
     eligible[0] = False
     ratios = np.where(eligible, diff_count / np.maximum(pops, 1), np.inf)

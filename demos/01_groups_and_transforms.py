@@ -29,7 +29,7 @@ print("max residual:", float(np.max(np.abs(via - set_convolve(A, A)))))
 # integer functions convolve exactly, escalating beyond int64 when needed
 from energylab import DenseFunc
 
-f = DenseFunc(g, np.array([1 << 40, 1, 0, 0, 0, 0, 0], dtype=object), is_integer=True)
+f = DenseFunc(g, np.array([1 << 40, 1, 0, 0, 0, 0, 0], dtype=object))
 big = convolve(f, f).values
 print("\nexact big-integer convolution, value at 0:", big[0])
 print("correlation reflection: (f o g)(x) == (g o f)(-x):",

@@ -1,7 +1,6 @@
 """Exact additive-combinatorics workbench over finite abelian groups."""
 
-from .group import (GroupSpec, Spectrum, fourier, fourier_array, inverse_fourier,
-                    inverse_fourier_array, make_group, parse_group)
+from .group import GroupSpec, fourier_array, inverse_fourier_array, make_group, parse_group
 from .setfun import (DenseFunc, GSet, convolve, correlate, delta_sumset_size,
                      difference_set, generalized_convolution, iterated_convolve,
                      katz_koester_check, set_correlate, set_convolve, sigma_k,

@@ -1,9 +1,10 @@
 """Energy functionals: higher energies, sumfree counts T_k, restricted and starred
 variants, mixed energies of several functions, weighted energies, Wiener norm.
 
-Integer exponents give exact integer values (arbitrary precision); real exponents
-are evaluated in double precision over exact integer correlation values with a
-deterministic index-ascending summation order.
+Nonnegative integer exponents give exact integer values through the one exact
+reduction of `setfun` (int64 under a proven bound, arbitrary precision beyond);
+other real exponents are evaluated in double precision over exact integer
+correlation values with a deterministic index-ascending summation order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .group import GroupSpec, fourier_array
-from .setfun import DenseFunc, GSet, as_func, convolve, correlate, set_correlate
+from .setfun import DenseFunc, GSet, _exact_sum, as_func, convolve, correlate, set_correlate
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,12 @@ class EnergyValue:
 
 
 def _power_sum(values: np.ndarray, k) -> tuple[object, bool]:
-    """sum v^k over an int64 array; exact for integer k, fsum of doubles otherwise."""
-    sup = np.flatnonzero(values)
-    if float(k) == int(k):
-        kk = int(k)
-        total = 0
-        for v in values[sup].tolist():
-            total += int(v) ** kk
-        return total, True
-    vals = [float(v) ** float(k) for v in values[sup].tolist()]
+    """sum v^k over the support of an int64 array; exact for integer k >= 0, fsum
+    of doubles otherwise."""
+    sup = values[np.flatnonzero(values)]
+    if float(k) == int(k) and k >= 0:
+        return _exact_sum(sup, int(k)), True
+    vals = [float(v) ** float(k) for v in sup.tolist()]
     return math.fsum(vals), False
 
 
@@ -71,15 +69,9 @@ def energy_pair_k(A: GSet, B: GSet, k: float = 2) -> EnergyValue:
     _check_same_group(A, B)
     ca = set_correlate(A, A)
     cb = set_correlate(B, B)
-    if float(k) == 1:
-        return EnergyValue(int(ca.sum()), 1.0, "E", True)
-    sup = np.flatnonzero((ca > 0) & (cb > 0))
     if float(k) == int(k):
-        kk = int(k)
-        total = 0
-        for x in sup.tolist():
-            total += int(ca[x]) * int(cb[x]) ** (kk - 1)
-        return EnergyValue(total, float(k), "E", True)
+        return EnergyValue(_exact_sum(cb, int(k) - 1, ca), float(k), "E", True)
+    sup = np.flatnonzero((ca > 0) & (cb > 0))
     vals = [float(ca[x]) * float(cb[x]) ** (float(k) - 1.0) for x in sup.tolist()]
     return EnergyValue(math.fsum(vals), float(k), "E", False)
 
@@ -95,18 +87,8 @@ def mixed_energy(fs: Sequence) -> EnergyValue:
         raise ValueError("mixed energy needs at least two functions")
     funcs = [as_func(f) for f in fs]
     _check_same_group(*funcs)
-    corrs = [correlate(f, f).values for f in funcs]
-    total = 0
-    for x in np.flatnonzero(corrs[0]).tolist():
-        term = 1
-        for c in corrs:
-            v = int(c[x])
-            if v == 0:
-                term = 0
-                break
-            term *= v
-        total += term
-    return EnergyValue(total, float(len(fs)), "mixed", True)
+    corrs = np.stack([correlate(f, f).values for f in funcs])
+    return EnergyValue(_exact_sum(corrs), float(len(fs)), "mixed", True)
 
 
 def t_energy(As: Sequence[GSet]) -> EnergyValue:
@@ -117,11 +99,7 @@ def t_energy(As: Sequence[GSet]) -> EnergyValue:
     conv = As[0].indicator()
     for B in As[1:]:
         conv = convolve(conv, B)
-    total = 0
-    for v in conv.values.tolist():
-        iv = int(v)
-        total += iv * iv
-    return EnergyValue(total, float(len(As)), "T", True)
+    return EnergyValue(_exact_sum(conv.values, 2), float(len(As)), "T", True)
 
 
 def t_k(A: GSet, k: int) -> int:
@@ -242,7 +220,7 @@ class WeightKernel:
             arr = self.difference
             cba = set_correlate(B, A)  # (B o A)(z) = #{(x,y) in A x B : x - y = z}
             if arr.dtype.kind in "iu":
-                return int(sum(int(arr[z]) * int(cba[z]) for z in np.flatnonzero(cba).tolist()))
+                return _exact_sum(cba, 1, arr)
             return float(np.dot(arr.astype(np.float64), cba.astype(np.float64)))
         sub = self.matrix[np.ix_(A.members, B.members)]
         return float(sub.sum())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import GSet, _Frontier, set_correlate
+from .setfun import GSet, _exact_sum, _Frontier, set_correlate
 
 GOWERS_MAX_ORDER = 6
 
@@ -66,9 +66,7 @@ def gowers_pair_u3(A: GSet, B: GSet):
     # (A o B)(s1) = |A cap (B - s1)|, so its support carries every nonempty W
     for s1 in np.flatnonzero(set_correlate(A, B)).tolist():
         W = A.intersect(B.shift_minus(s1))
-        cw = set_correlate(W, W)
-        for v in cw[np.flatnonzero(cw)].tolist():
-            total += int(v) * int(v)
+        total += _exact_sum(set_correlate(W, W), 2)
     e = pair_energy(A, B)
     lhs = e ** 4
     rhs = total * (A.card ** 4) * (B.card ** 4)

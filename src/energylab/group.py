@@ -4,8 +4,9 @@ transform used as a cross-checking oracle.
 Elements are integers in [0, N) under a mixed-radix encoding: for factors
 (n_1, ..., n_r) the index of the coordinate vector (c_1, ..., c_r) is
 sum(c_i * prod(n_{i+1..r})).  All bulk computation elsewhere is exact integer
-arithmetic; the transform exists so those exact values can be re-derived a
-second, independent way and compared after rounding.
+arithmetic; the transform (`fourier_array`, `inverse_fourier_array` and
+`complex_correlate`, on plain arrays) exists so those exact values can be
+re-derived a second, independent way and compared after rounding.
 """
 
 from __future__ import annotations
@@ -178,18 +179,6 @@ def parse_group(text: str) -> GroupSpec:
 # -- transform oracle ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Dual-side values of a function, indexed by character in the same mixed radix."""
-
-    values: np.ndarray
-    group: GroupSpec
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.group.size,):
-            raise ValueError("spectrum length does not match group size")
-
-
 def fourier_array(group: GroupSpec, values: np.ndarray) -> np.ndarray:
     """Per-factor DFT; a factor of order 2 uses the +-1 butterfly directly."""
     a = np.asarray(values, dtype=np.complex128).reshape(group.factors)
@@ -213,16 +202,6 @@ def inverse_fourier_array(group: GroupSpec, values: np.ndarray) -> np.ndarray:
         else:
             a = np.fft.ifft(a, axis=ax)
     return a.reshape(group.size)
-
-
-def fourier(group: GroupSpec, values: np.ndarray) -> Spectrum:
-    if len(values) != group.size:
-        raise ValueError("function length does not match group size")
-    return Spectrum(values=fourier_array(group, values), group=group)
-
-
-def inverse_fourier(spectrum: Spectrum) -> np.ndarray:
-    return inverse_fourier_array(spectrum.group, spectrum.values)
 
 
 def complex_correlate(group: GroupSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:

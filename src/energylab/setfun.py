@@ -2,8 +2,13 @@
 correlations, slices, sumsets, and tuple-indexed sumset counts.
 
 Everything here is exact.  int64 is used when a certified bound fits; otherwise
-the computation escalates to Python integers (never wraps).  The float transform
-path lives in `group` and is only compared against, never trusted.
+the computation escalates to Python integers (never wraps).  The exact layer
+has one kernel per operation: every convolution and correlation of sets or
+integer functions runs on `_conv_exact`, and every integer power sum
+sum w * v^k (energies, moments, uniformity totals) on `_exact_sum`; each
+computes its escalation bound once.  The one float path here is
+`convolve_via_fourier`, built on the transform of `group`; it is only compared
+against, never trusted.
 
 A set is a boolean membership array over the group's indices; that is its only
 representation.  The tuple-indexed counts, and the uniformity counts of
@@ -155,39 +160,22 @@ class GSet:
         return cls.from_indices(g, d["elements"])
 
     def indicator(self) -> "DenseFunc":
-        return DenseFunc(self.group, self.mask.astype(np.int64), is_integer=True)
+        return DenseFunc(self.group, self.mask.astype(np.int64))
 
 
 @dataclass
 class DenseFunc:
-    """A dense function on the group; integer-flagged values stay exact."""
+    """An integer-valued function on the group, stored densely."""
 
     group: GroupSpec
     values: np.ndarray
-    is_integer: bool = True
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.group.size,):
             raise ValueError("function length does not match group size")
-        if self.is_integer and self.values.dtype.kind == "f":
-            raise ValueError("integer-flagged function holds floating point values")
-
-    @classmethod
-    def from_values(cls, group: GroupSpec, seq, is_integer: bool | None = None) -> "DenseFunc":
-        arr = np.asarray(seq)
-        if is_integer is None:
-            is_integer = arr.dtype.kind in "iub" or arr.dtype == object
-        if is_integer and arr.dtype.kind in "iub":
-            arr = arr.astype(np.int64)
-        return cls(group, arr, is_integer=is_integer)
-
-    def reflect(self) -> "DenseFunc":
-        """f^c(x) = f(-x)."""
-        return DenseFunc(self.group, self.values[self.group.neg_perm], self.is_integer)
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.values)
+        if self.values.dtype.kind == "f":
+            raise ValueError("function holds floating point values; only integer values are exact")
 
     def max_abs(self) -> int:
         return _max_abs(self.values)
@@ -214,10 +202,40 @@ def _max_abs(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min()), 0)
 
 
-def _abs_sum(values: np.ndarray) -> int:
-    if values.dtype == object:
-        return int(sum(abs(int(v)) for v in values.tolist()))
-    return int(np.abs(values.astype(np.int64, copy=False)).sum())
+def _abs_bounds(values: np.ndarray) -> tuple[int, int]:
+    """(max |v|, sum |v|), exactly.  The sum is taken in int64 only when
+    values.size * max |v| shows that it fits."""
+    top = _max_abs(values)
+    if values.dtype != object and values.size * top < INT64_SAFE_BOUND:
+        return top, int(np.abs(values.astype(np.int64, copy=False)).sum())
+    return top, sum(abs(int(v)) for v in values.tolist())
+
+
+def _exact_sum(v: np.ndarray, k: int = 1, w: np.ndarray | None = None) -> int:
+    """sum over x of w(x) * prod_r v_r(x)^k, exactly.
+
+    v is one integer array, or a stack of rows multiplied elementwise; w is an
+    integer array of the same length (all ones when omitted) and k >= 0.  Each
+    term is at most max|w| * prod_r max|v_r|^k, so int64 is used only while the
+    number of terms times that bound is below INT64_SAFE_BOUND; Python integers
+    otherwise."""
+    rows = np.atleast_2d(v)
+    n = rows.shape[1]
+    if not n:
+        return 0
+    if rows.dtype != object and (w is None or w.dtype != object):
+        top = n * (1 if w is None else _max_abs(w))
+        for r in rows:
+            top *= _max_abs(r) ** k
+        dtype = np.int64 if top < INT64_SAFE_BOUND else object
+    else:
+        dtype = object
+    term = rows[0].astype(dtype) ** k
+    for r in rows[1:]:
+        term *= r.astype(dtype) ** k
+    if w is not None:
+        term *= w.astype(dtype)
+    return int(term.sum())
 
 
 def _roll_array(group: GroupSpec, arr: np.ndarray, b: int) -> np.ndarray:
@@ -226,95 +244,93 @@ def _roll_array(group: GroupSpec, arr: np.ndarray, b: int) -> np.ndarray:
 
 
 def _as_exact_dtype(arr: np.ndarray, big: bool) -> np.ndarray:
+    """arr as int64 (kept boolean for unit weights), or as Python integers when big."""
     if big:
         return np.array([int(v) for v in arr.tolist()], dtype=object)
-    return arr.astype(np.int64, copy=False)
+    return arr if arr.dtype == bool else arr.astype(np.int64, copy=False)
 
 
-def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
-    """sign=+1: (a*b)(x) = sum_y a(y) b(x-y); sign=-1: (a o b)(x) = sum_y a(y) b(y+x)."""
-    sa = np.flatnonzero(a)
-    sb = np.flatnonzero(b)
+def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
+                sa: np.ndarray | None = None, sb: np.ndarray | None = None) -> np.ndarray:
+    """The exact kernel behind every convolution and correlation.
+
+    sign=+1: (a*b)(x) = sum_y a(y) b(x-y); sign=-1: (a o b)(x) = sum_y a(y) b(y+x).
+    a and b are integer arrays; a boolean array is a set indicator (unit
+    weights, no scan needed for its bounds).  sa and sb are the supports when
+    the caller already has them.  Every partial sum is at most
+    min(sum|a| max|b|, sum|b| max|a|): below INT64_SAFE_BOUND the result is
+    int64, otherwise it is built from Python integers.  Small supports take the
+    pair path (every support pair at once), larger ones the roll path (one
+    translate per point of the sparser support)."""
+    sa = np.flatnonzero(a) if sa is None else sa
+    sb = np.flatnonzero(b) if sb is None else sb
     if not sa.size or not sb.size:
         return np.zeros(group.size, dtype=np.int64)
-    max_a = _max_abs(a)
-    max_b = _max_abs(b)
-    bound = min(_abs_sum(a[sa]) * max_b, _abs_sum(b[sb]) * max_a)
-    big = bound >= INT64_SAFE_BOUND
+    unit_a = a.dtype == bool
+    unit_b = b.dtype == bool
+    max_a, sum_a = (1, sa.size) if unit_a else _abs_bounds(a[sa])
+    max_b, sum_b = (1, sb.size) if unit_b else _abs_bounds(b[sb])
+    big = min(sum_a * max_b, sum_b * max_a) >= INT64_SAFE_BOUND
 
     if not big and sa.size * sb.size <= PAIR_PATH_LIMIT:
         xs = np.repeat(sa, sb.size)
         ys = np.tile(sb, sa.size)
         idx = group.add_indices(xs, ys) if sign > 0 else group.sub_indices(ys, xs)
+        if unit_a and unit_b:
+            return np.bincount(idx, minlength=group.size)
         w = (a[sa].astype(np.int64)[:, None] * b[sb].astype(np.int64)[None, :]).reshape(-1)
         out = np.zeros(group.size, dtype=np.int64)
         np.add.at(out, idx, w)
         return out
 
-    # roll path; accumulate over the sparser support
+    # roll path over the sparser support; a unit weight adds its translate unscaled
     out = np.zeros(group.size, dtype=object if big else np.int64)
     if sa.size <= sb.size:
         bb = _as_exact_dtype(b, big)
         for y in sa.tolist():
             # a(y) contributes a(y)*b(x-y) resp. a(y)*b(y+x) = a(y)*roll(b, -y)(x)
-            shift = y if sign > 0 else int(group.neg_perm[y])
-            out = out + int(a[y]) * _roll_array(group, bb, shift)
+            shifted = _roll_array(group, bb, y if sign > 0 else int(group.neg_perm[y]))
+            out += shifted if unit_a else int(a[y]) * shifted
     else:
         aa = _as_exact_dtype(a, big)
-        ar = aa[group.neg_perm]
+        ar = aa if sign > 0 else aa[group.neg_perm]
         for z in sb.tolist():
             # b(z) contributes b(z)*a(x-z) resp. sum_y a(y) b(y+x): y = z-x, so b(z)*a(z-x)
-            shifted = _roll_array(group, aa, z) if sign > 0 else _roll_array(group, ar, z)
-            out = out + int(b[z]) * shifted
+            shifted = _roll_array(group, ar, z)
+            out += shifted if unit_b else int(b[z]) * shifted
     return out
+
+
+def _same_group(name: str, f, g) -> GroupSpec:
+    if f.group != g.group:
+        raise ValueError(f"{name}: group mismatch")
+    return f.group
 
 
 def convolve(f, g) -> DenseFunc:
     """(f*g)(x) = sum_y f(y) g(x-y), exact."""
     ff, gg = as_func(f), as_func(g)
-    if ff.group != gg.group:
-        raise ValueError("convolve: group mismatch")
-    if not (ff.is_integer and gg.is_integer):
-        a = np.asarray(ff.values, dtype=np.float64)
-        b = np.asarray(gg.values, dtype=np.float64)
-        out = np.real(inverse_fourier_array(ff.group, fourier_array(ff.group, a) * fourier_array(ff.group, b)))
-        return DenseFunc(ff.group, out, is_integer=False)
-    return DenseFunc(ff.group, _conv_exact(ff.group, ff.values, gg.values, +1), is_integer=True)
+    group = _same_group("convolve", ff, gg)
+    return DenseFunc(group, _conv_exact(group, ff.values, gg.values, +1))
 
 
 def correlate(f, g) -> DenseFunc:
     """(f o g)(x) = sum_y f(y) g(y+x), exact."""
     ff, gg = as_func(f), as_func(g)
-    if ff.group != gg.group:
-        raise ValueError("correlate: group mismatch")
-    if not (ff.is_integer and gg.is_integer):
-        raise ValueError("correlate expects integer functions; use the transform oracle for floats")
-    return DenseFunc(ff.group, _conv_exact(ff.group, ff.values, gg.values, -1), is_integer=True)
+    group = _same_group("correlate", ff, gg)
+    return DenseFunc(group, _conv_exact(group, ff.values, gg.values, -1))
 
 
 def set_correlate(A: GSet, B: GSet) -> np.ndarray:
     """(A o B) as an int64 array: (A o B)(x) = |A cap (B - x)|."""
-    if A.group != B.group:
-        raise ValueError("set_correlate: group mismatch")
-    g = A.group
-    if A.card * B.card <= PAIR_PATH_LIMIT and A.card and B.card:
-        xs = np.repeat(A.members, B.card)
-        ys = np.tile(B.members, A.card)
-        idx = g.sub_indices(ys, xs)
-        return np.bincount(idx, minlength=g.size).astype(np.int64)
-    return _conv_exact(g, A.mask.astype(np.int64), B.mask.astype(np.int64), -1)
+    group = _same_group("set_correlate", A, B)
+    return _conv_exact(group, A.mask, B.mask, -1, A.members, B.members)
 
 
 def set_convolve(A: GSet, B: GSet) -> np.ndarray:
-    if A.group != B.group:
-        raise ValueError("set_convolve: group mismatch")
-    g = A.group
-    if A.card * B.card <= PAIR_PATH_LIMIT and A.card and B.card:
-        xs = np.repeat(A.members, B.card)
-        ys = np.tile(B.members, A.card)
-        idx = g.add_indices(xs, ys)
-        return np.bincount(idx, minlength=g.size).astype(np.int64)
-    return _conv_exact(g, A.mask.astype(np.int64), B.mask.astype(np.int64), +1)
+    """(A * B) as an int64 array: (A * B)(x) = #{(a, b) in A x B : a + b = x}."""
+    group = _same_group("set_convolve", A, B)
+    return _conv_exact(group, A.mask, B.mask, +1, A.members, B.members)
 
 
 def convolve_via_fourier(f, g) -> np.ndarray:
@@ -417,13 +433,6 @@ def difference_set(A: GSet, B: GSet) -> GSet:
 
 # member pairs formed at once by the slice frontier; bounds its working set
 FRONTIER_CHUNK = 1 << 14
-
-
-def _exact_dot(mult: np.ndarray, w: np.ndarray) -> int:
-    """sum(mult * w) exactly; int64 only when the total provably fits."""
-    if mult.dtype != object and int(mult.max()) * int(w.sum()) < INT64_SAFE_BOUND:
-        return int(np.dot(mult, w))
-    return int(np.dot(mult.astype(object), w.astype(object)))
 
 
 def _merge_rows(parts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -596,8 +605,7 @@ class _Frontier:
                     rows //= N
                 if tick:
                     self._tick(counts.size)
-                weight = counts * counts if square else np.ones_like(counts)
-                total += _exact_dot(mult[lo + rows], weight)
+                total += _exact_sum(counts, 2 if square else 0, mult[lo + rows])
         return total
 
 

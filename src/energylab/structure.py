@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import WeightKernel, energy_k, pair_energy
-from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, convolve, correlate,
+from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, _exact_sum, convolve, correlate,
                      difference_set, set_convolve, set_correlate)
 
 SUBSET_SEARCH_CAP = 22
@@ -650,7 +650,7 @@ def popular_slice_family(A: GSet, seed: int, C: float = 2.0) -> DisjointFamily:
     for s in sup:
         levels.setdefault(int(ca[s]).bit_length(), []).append(s)
     # pick the level carrying the most squared slice mass
-    best_level = max(levels, key=lambda L: sum(int(ca[s]) ** 2 for s in levels[L]))
+    best_level = max(levels, key=lambda L: _exact_sum(ca[levels[L]], 2))
     shifts = levels[best_level]
     delta = 1 << (best_level - 1)
     Ms = [Ap.slice1(s) for s in shifts]

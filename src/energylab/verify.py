@@ -26,11 +26,11 @@ from .energy import (energy_k, energy_pair_k, mixed_energy, pair_energy,
                      pair_energy_spectrum, sigma_restricted, t2_of_dual_square, t_k)
 from .gowers import gowers_pair_u3, gowers_u
 from .group import complex_correlate, fourier_array, make_group
-from .setfun import (BudgetError, DenseFunc, GSet, convolve, correlate,
+from .setfun import (BudgetError, DenseFunc, GSet, _exact_sum, convolve, correlate,
                      count_nonempty_slice_tuples, delta_pairs_direct, delta_sumset_size,
                      difference_set, katz_koester_check, set_correlate, sumset,
                      tuple_sumset_sum)
-from .structure import (connectedness_gamma, greedy_disjoint_slices,
+from .structure import (ORACLE_CAP, connectedness_gamma, greedy_disjoint_slices,
                         greedy_disjoint_translates, random_disjoint_family,
                         regular_part, small_doubling_subset_oracle)
 
@@ -58,14 +58,17 @@ class CheckResult:
         return asdict(self)
 
 
+# caps keeping exhaustive sub-searches inside a desk-scale time budget
+NODE_BUDGET = 3_000_000
+GAMMA_CAP = 18
+DK_PAIR_BUDGET = 20_000_000
+EIGEN_TRIALS = 50
+
+
 @dataclass
 class VerifyConfig:
-    """Caps keeping exhaustive sub-searches inside a desk-scale time budget."""
+    """The seed of the randomized checks."""
 
-    node_budget: int = 3_000_000
-    gamma_cap: int = 18
-    dk_pair_budget: int = 20_000_000
-    eigen_trials: int = 50
     seed: int = 0
 
 
@@ -126,7 +129,6 @@ def _report(name: str, tag: str, lhs, rhs, note: str = "") -> CheckResult:
 def run_identity_suite(A: GSet, B: GSet | None = None,
                        config: VerifyConfig | None = None) -> list[CheckResult]:
     """Exact-equality checks; every entry must pass on a correct build."""
-    cfg = config or VerifyConfig()
     Beff = B if B is not None else A
     out: list[CheckResult] = []
     g = A.group
@@ -146,7 +148,7 @@ def run_identity_suite(A: GSet, B: GSet | None = None,
         f_acc += cs
     out.append(_exact("third moment equals sum of slice pair energies",
                       "identity.e3_slice_sum", sum_e_a_as, e3))
-    sum_pairwise = sum(int(v) * int(v) for v in f_acc.tolist())
+    sum_pairwise = _exact_sum(f_acc, 2)
     out.append(_exact("fourth moment equals double slice-energy sum",
                       "identity.e4_slice_pair_sum", sum_pairwise, e4))
 
@@ -156,7 +158,7 @@ def run_identity_suite(A: GSet, B: GSet | None = None,
         for sign, tagged in (("-", "identity.delta_minus_paths"),
                              ("+", "identity.delta_plus_paths")):
             direct = delta_pairs_direct(A, sign)
-            via_sum = tuple_sumset_sum(A, 1, sign, budget=cfg.node_budget)
+            via_sum = tuple_sumset_sum(A, 1, sign, budget=NODE_BUDGET)
             out.append(_exact(f"pair tuple count, sign {sign}: direct vs shift sum",
                               tagged, direct, via_sum))
     except BudgetError as err:
@@ -288,7 +290,7 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
                        "|nA-mA| |A|^{n+m-1} <= |A+A|^{n+m}"))
 
     # connectedness-driven fractional-moment lower bound
-    if a <= cfg.gamma_cap:
+    if a <= GAMMA_CAP:
         gamma, _w = connectedness_gamma(A, 2, 0.5)
         e32 = float(energy_k(A, 1.5).value)
         rhs_f = 2.0 ** -5 * gamma * a ** 0.25 * e2 ** 0.75
@@ -298,27 +300,26 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
                                _ratio(e32, rhs_f), f"gamma={gamma:.6f} at beta=1/2"))
     else:
         out.append(_skip("fractional moment under connectedness", "ineq.connected_energy",
-                         f"|A|={a} over the witness-search cap {cfg.gamma_cap}"))
+                         f"|A|={a} over the witness-search cap {GAMMA_CAP}"))
 
     # weighted mass through a superset of A+B
     SAB = sumset(A, Beff)
     lhs_i = Beff.card ** 2 * e2 ** 2
     e3_ba = int(energy_pair_k(Beff, A, 3).value)
     css = set_correlate(SAB, SAB)
-    quad = sum(int(p) * int(p) * int(v) for p, v in zip(ca.tolist(), css.tolist()))
+    quad = _exact_sum(ca, 2, css)
     out.append(_le("containment-weighted pair mass", "ineq.t_ab", lhs_i, e3_ba * quad,
                    "psi = (A o A), superset = A+B"))
 
     # difference-set moment chains
     cd = set_correlate(D, D)
     cs_arr = set_correlate(S, S)
-    dmem = D.members.tolist()
-    plus_pairs = delta_sumset_size(A, 2, "+", budget=cfg.node_budget)
+    plus_pairs = delta_sumset_size(A, 2, "+", budget=NODE_BUDGET)
     for k in (1, 2, 3):
-        edk = sum(int(cd[s]) ** k for s in dmem)
+        edk = _exact_sum(cd[D.members], k)
         name = f"difference-set moment chain k={k}"
         try:
-            mid = count_nonempty_slice_tuples(A, k + 1, budget=cfg.node_budget)
+            mid = count_nonempty_slice_tuples(A, k + 1, budget=NODE_BUDGET)
             ok = edk >= mid >= D.card * a ** k
             out.append(CheckResult(name, f"ineq.ekd_chain_minus_k{k}", _dec(edk),
                                    f"{mid} >= {D.card * a ** k}",
@@ -327,7 +328,7 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
                                    f"middle tuple count {mid}"))
         except BudgetError as err:
             out.append(_skip(name, f"ineq.ekd_chain_minus_k{k}", str(err)))
-        eds = sum(int(cs_arr[s]) ** k for s in dmem)
+        eds = _exact_sum(cs_arr[D.members], k)
         rhs_chain = a ** (k - 1) * plus_pairs
         ok2 = eds >= rhs_chain >= a ** k * max(D.card, S.card)
         out.append(CheckResult(f"sumset moment chain k={k}", f"ineq.ekd_chain_plus_k{k}",
@@ -398,7 +399,7 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
     Ap = regular_part(A)
     ok_a = ok_ap = True
     worst_a = worst_ap = 0
-    for _ in range(cfg.eigen_trials):
+    for _ in range(EIGEN_TRIALS):
         vals = rng.integers(-3, 4, size=a)
         vals[vals == 0] = 1
         f = np.zeros(g.size, dtype=np.int64)
@@ -419,10 +420,10 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
             ok_ap, worst_ap = False, e_afp
     out.append(CheckResult("operator bound on random functions", "ineq.eigen_a",
                            _dec(worst_a), _dec(e3), "pass" if ok_a else "fail", None,
-                           f"{cfg.eigen_trials} seeded trials, E(A,f)^2 <= E_3 |f|^4"))
+                           f"{EIGEN_TRIALS} seeded trials, E(A,f)^2 <= E_3 |f|^4"))
     out.append(CheckResult("operator bound on the regular part", "ineq.eigen_a_regular",
                            _dec(worst_ap), _dec(2 * e2), "pass" if ok_ap else "fail", None,
-                           f"{cfg.eigen_trials} seeded trials, E(A,f) |A| <= 2 E |f|^2"))
+                           f"{EIGEN_TRIALS} seeded trials, E(A,f) |A| <= 2 E |f|^2"))
 
     # inclusion checks on seeded tuples
     kk_ok = katz_koester_check(A, [])
@@ -445,7 +446,6 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
 
 def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckResult]:
     """Report-only ratios for bounds with unquantified constants."""
-    cfg = config or VerifyConfig()
     out: list[CheckResult] = []
     a = A.card
     if a == 0:
@@ -466,7 +466,7 @@ def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckR
 
     nz = [s for s in np.flatnonzero(ca).tolist() if s != 0]
     gamma2 = gamma3 = gamma32 = None
-    if a <= cfg.gamma_cap:
+    if a <= GAMMA_CAP:
         gamma2, _ = connectedness_gamma(A, 2, 0.5)
         gamma3, _ = connectedness_gamma(A, 3, 0.5)
         gamma32, _ = connectedness_gamma(A, 1.5, 0.5)
@@ -512,8 +512,8 @@ def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckR
         out.append(_report("mixed third moment under connectedness", "ratio.e3_mixed_conn",
                            e3_daa ** 2, gamma2 * a ** 5 * e2, f"gamma(2,1/2)={gamma2:.6f}"))
 
-    edd3 = sum(int(cd[s]) ** 3 for s in D.members.tolist())
-    eds3 = sum(int(cs_arr[s]) ** 3 for s in D.members.tolist())
+    edd3 = _exact_sum(cd[D.members], 3)
+    eds3 = _exact_sum(cs_arr[D.members], 3)
     best = max(float(D.card) ** 12, a ** 45 / (e2 ** 9 * D.card ** 2))
     out.append(_report("restricted difference-set third moment to the fourth",
                        "ratio.ekd3_minus", float(edd3) ** 4, best))
@@ -534,7 +534,7 @@ def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckR
     # slice-within-slice mass sums (k = 2), guarded by a pair budget
     nz0 = [x for x in np.flatnonzero(ca).tolist() if x != 0]
     est = len(nz0) * D.card * D.card
-    if est <= cfg.dk_pair_budget:
+    if est <= DK_PAIR_BUDGET:
         d_sum = s_sum = bound_d = bound_s = 0
         for x in nz0:
             w = int(ca[x]) ** 2
@@ -577,7 +577,7 @@ def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckR
                            uk, e2 ** exp_e / float(a) ** exp_a))
 
     # tiny-scale structural witnesses through the exhaustive oracle
-    if a <= 18:
+    if a <= ORACLE_CAP:
         w, dbl = small_doubling_subset_oracle(A, 0.5)
         m3 = a * e2 / e3
         out.append(_report("oracle small-doubling witness (third moment)",
@@ -677,16 +677,16 @@ def random_family_acceptance_instance(seed: int = 7) -> dict:
 
 
 def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
-               suites: tuple[str, ...] = ("identity", "inequality", "ratio", "algorithms"),
                include_random_family: bool = True) -> dict:
-    """Run the selected suites over the frozen corpus and summarize."""
+    """Run the identity, inequality, ratio and algorithm suites over the frozen
+    corpus and summarize."""
     cfg = config or VerifyConfig()
     t0 = time.monotonic()
     items = frozen_corpus(seeds)
     failures: list[dict] = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "report": 0}
     per_suite: dict[str, float] = {}
-    for suite in suites:
+    for suite in ("identity", "inequality", "ratio", "algorithms"):
         ts = time.monotonic()
         for item in items:
             if suite == "identity":
@@ -695,10 +695,8 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
                 results = run_inequality_suite(item.A, item.B, cfg)
             elif suite == "ratio":
                 results = run_ratio_report(item.A, cfg)
-            elif suite == "algorithms":
-                results = run_algorithm_audits(item)
             else:
-                raise ValueError(f"unknown suite {suite}")
+                results = run_algorithm_audits(item)
             for r in results:
                 counts[r.status] += 1
                 if r.status == "fail":
@@ -711,7 +709,7 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
         "seconds": time.monotonic() - t0,
         "per_suite_seconds": per_suite,
     }
-    if include_random_family and "algorithms" in suites:
+    if include_random_family:
         summary["random_family"] = random_family_acceptance_instance()
     return summary
 

@@ -1,18 +1,24 @@
+import contextlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import energylab.setfun as setfun
 from conftest import (brute_convolve, brute_correlate, brute_delta_count, gset)
 from energylab.constructors import random_set, subspace
 from energylab.group import make_group
-from energylab.setfun import (BudgetError, DenseFunc, GSet, convolve,
-                              convolve_via_fourier, correlate,
+from energylab.setfun import (INT64_SAFE_BOUND, BudgetError, DenseFunc, GSet, _exact_sum,
+                              convolve, convolve_via_fourier, correlate,
                               count_nonempty_slice_tuples, delta_sumset_size,
                               difference_set, generalized_convolution,
                               iterated_convolve, katz_koester_check, set_convolve,
                               set_correlate, sigma_k, slice_set, sumset,
                               tuple_sumset_sum)
+from test_frontier import FACTORS, small_sets
 
 
 def test_triple_correlation_and_convolution(triple):
@@ -53,10 +59,16 @@ def test_reflection_identity():
 def test_convolution_overflow_escalates_exactly():
     g = make_group([4])
     big = 1 << 40
-    f = DenseFunc(g, np.array([big, big, 0, 0], dtype=object), is_integer=True)
+    f = DenseFunc(g, np.array([big, big, 0, 0], dtype=object))
     out = convolve(f, f)
     assert out.values[1] == 2 * big * big  # exceeds int64; must not wrap
     assert out.values[0] == big * big
+
+
+def test_dense_function_rejects_floats():
+    g = make_group([4])
+    with pytest.raises(ValueError):
+        DenseFunc(g, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_iterated_convolve_and_sigma(triple):
@@ -181,3 +193,165 @@ def test_sumset_weighted_mass_dominates_tuple_count():
     mid = delta_sumset_size(A, 3, "+")
     assert mid == brute_delta_count([11], [0, 1, 3, 7], 3, "+")
     assert lhs >= mid >= A.card ** 2 * max(D.card, S.card)
+
+
+# -- the one exact convolution kernel ---------------------------------------------
+#
+# set_correlate/set_convolve and correlate/convolve all run on setfun._conv_exact.
+# Each comparison below runs on the pair path (PAIR_PATH_LIMIT as shipped) and on
+# the roll path (a limit of 0), against the brute loops of conftest.
+
+
+@contextlib.contextmanager
+def pair_path_limit(limit):
+    saved = setfun.PAIR_PATH_LIMIT
+    setfun.PAIR_PATH_LIMIT = limit
+    try:
+        yield
+    finally:
+        setfun.PAIR_PATH_LIMIT = saved
+
+
+def on_both_paths(check):
+    check()
+    with pair_path_limit(0):
+        check()
+
+
+def _indicator(factors, members):
+    out = [0] * math.prod(factors)
+    for m in members:
+        out[m] = 1
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_sets(), st.data())
+def test_set_kernels_match_brute(drawn, data):
+    factors, amem = drawn
+    N = math.prod(factors)
+    bmem = data.draw(st.lists(st.integers(0, N - 1), max_size=6, unique=True))
+    A, B = gset(factors, amem), gset(factors, bmem)
+    ia, ib = _indicator(factors, amem), _indicator(factors, bmem)
+    want_corr = brute_correlate(factors, ia, ib)
+    want_conv = brute_convolve(factors, ia, ib)
+
+    def check():
+        for got in (set_correlate(A, B), set_convolve(A, B)):
+            assert got.dtype == np.int64
+        assert set_correlate(A, B).tolist() == want_corr
+        assert set_convolve(A, B).tolist() == want_conv
+        assert correlate(A, B).values.tolist() == want_corr
+        assert convolve(A, B).values.tolist() == want_conv
+
+    on_both_paths(check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FACTORS), st.data())
+def test_signed_functions_match_brute(factors, data):
+    N = math.prod(factors)
+    values = st.lists(st.integers(-6, 6), min_size=N, max_size=N)
+    a, b = data.draw(values), data.draw(values)
+    g = make_group(list(factors))
+    fa, fb = DenseFunc(g, np.array(a, dtype=np.int64)), DenseFunc(g, np.array(b, dtype=np.int64))
+    # a boolean value array is a set indicator: unit weights against signed ones
+    unit = DenseFunc(g, np.array(a, dtype=np.int64) > 0)
+    ua = [int(v > 0) for v in a]
+
+    def check():
+        assert correlate(fa, fb).values.tolist() == brute_correlate(factors, a, b)
+        assert convolve(fa, fb).values.tolist() == brute_convolve(factors, a, b)
+        assert correlate(unit, fb).values.tolist() == brute_correlate(factors, ua, b)
+        assert convolve(fb, unit).values.tolist() == brute_convolve(factors, b, ua)
+
+    on_both_paths(check)
+
+
+def test_dense_sets_take_the_roll_path_exactly():
+    for factors in ((2,) * 7, (127,), (2, 3, 5)):
+        g = make_group(list(factors))
+        A, B = random_set(g, 0.6, 1), random_set(g, 0.4, 2)
+        with pair_path_limit(0):
+            roll = (set_correlate(A, B), set_convolve(A, B))
+        assert np.array_equal(roll[0], set_correlate(A, B))
+        assert np.array_equal(roll[1], set_convolve(A, B))
+        assert roll[0].dtype == roll[1].dtype == np.int64
+
+
+@pytest.mark.parametrize("factors", [(7,), (2, 4), (3, 3, 2)])
+@pytest.mark.parametrize("x, y", [(1 << 31, (1 << 31) - 1), (1 << 31, 1 << 31),
+                                  (-(1 << 31), 1 << 31), ((1 << 62) - 1, 1), (1 << 62, -1)])
+def test_escalation_at_the_int64_bound(factors, x, y):
+    """f = x at two points and g = y at one: the kernel's bound is |x| |y|, so
+    int64 holds below INT64_SAFE_BOUND and Python integers take over at it."""
+    g = make_group(list(factors))
+    N = g.size
+    a = [x, -x] + [0] * (N - 2)
+    b = [0] * (N - 1) + [y]
+    big = abs(x * y) >= INT64_SAFE_BOUND
+    fa, fb = DenseFunc(g, np.array(a, dtype=object)), DenseFunc(g, np.array(b, dtype=object))
+
+    def check():
+        for got, want in ((correlate(fa, fb), brute_correlate(factors, a, b)),
+                          (convolve(fa, fb), brute_convolve(factors, a, b)),
+                          (convolve(fb, fa), brute_convolve(factors, b, a))):
+            assert got.values.dtype == (object if big else np.int64)
+            assert got.values.tolist() == want
+
+    on_both_paths(check)
+
+
+def test_absolute_sum_past_int64_escalates():
+    """sum |f| = 2^63 does not fit in int64; the bound must not wrap negative."""
+    g = make_group([7])
+    vals = [1 << 61] * 4 + [0] * 3
+    f = DenseFunc(g, np.array(vals, dtype=np.int64))
+
+    def check():
+        conv = convolve(f, f).values.tolist()
+        corr = correlate(f, f).values.tolist()
+        assert conv == brute_convolve([7], vals, vals)
+        assert corr == brute_correlate([7], vals, vals)
+        assert all(v % (1 << 122) == 0 for v in conv + corr)
+        assert conv[0] == 1 << 122 and corr[0] == 4 << 122
+
+    on_both_paths(check)
+
+
+def _python_sum(v, k, w):
+    rows = [list(map(int, r)) for r in np.atleast_2d(np.asarray(v, dtype=object))]
+    ws = [1] * len(rows[0]) if w is None else [int(x) for x in w]
+    return sum(wx * math.prod(r[i] ** k for r in rows) for i, wx in enumerate(ws))
+
+
+B31 = 1 << 31
+
+
+@pytest.mark.parametrize("v, k, w", [
+    ([], 2, None),
+    ([B31, B31], 2, None),                          # 2^63: wraps in int64
+    ([(1 << 30) - 1] * 4, 2, None),                 # 4 (2^30 - 1)^2 < 2^62: int64
+    ([1 << 30] * 4, 2, None),                       # 4 * 2^60 = 2^62: Python ints
+    ([1, 1], 5, [1 << 62, 1 << 62]),                # weights alone reach 2^63
+    ([1, 2, 0], 1, [(1 << 61) - 1, 1, 7]),
+    ([-B31, B31, 3], 3, None),                      # signed terms cancel
+    ([[1 << 40, 3], [1 << 40, 5]], 1, None),        # a stack multiplies its rows
+    ([0, 4, 0, 9], 0, [2, 3, 5, 7]),                # k = 0 counts every weight
+    ([1 << 70, 2], 2, None),                        # Python-int input
+])
+def test_exact_sum_at_the_int64_bound(v, k, w):
+    dtype = object if any(abs(x) >= 1 << 63 for x in np.ravel(np.asarray(v, dtype=object))) else np.int64
+    arr = np.array(v, dtype=dtype)
+    warr = None if w is None else np.array(w, dtype=np.int64)
+    assert _exact_sum(arr, k, warr) == _python_sum(v, k, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=20), st.integers(0, 4),
+       st.booleans())
+def test_exact_sum_matches_python_ints(v, k, weighted):
+    w = [abs(x) // 3 + 1 for x in v] if weighted else None
+    got = _exact_sum(np.array(v, dtype=np.int64), k,
+                     None if w is None else np.array(w, dtype=np.int64))
+    assert got == _python_sum(v, k, w)

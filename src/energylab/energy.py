@@ -85,9 +85,8 @@ def mixed_energy(fs: Sequence) -> EnergyValue:
     """E(f_1,...,f_k) = sum_x prod_i (f_i o f_i)(x), exact for integer inputs."""
     if len(fs) < 2:
         raise ValueError("mixed energy needs at least two functions")
-    funcs = [as_func(f) for f in fs]
-    _check_same_group(*funcs)
-    corrs = np.stack([correlate(f, f).values for f in funcs])
+    corrs = np.stack([correlate(f, f).values for f in fs])
+    _check_same_group(*fs)
     return EnergyValue(_exact_sum(corrs), float(len(fs)), "mixed", True)
 
 
@@ -96,7 +95,7 @@ def t_energy(As: Sequence[GSet]) -> EnergyValue:
     if len(As) < 2:
         raise ValueError("T energy needs at least two sets")
     _check_same_group(*As)
-    conv = As[0].indicator()
+    conv = As[0]
     for B in As[1:]:
         conv = convolve(conv, B)
     return EnergyValue(_exact_sum(conv.values, 2), float(len(As)), "T", True)

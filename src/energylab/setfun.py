@@ -154,8 +154,18 @@ class GSet:
 
     @classmethod
     def from_dict(cls, d: dict, max_size: int | None = None) -> "GSet":
+        """The set of a set file {"group": [n, ...], "elements": [x, ...]}.  Both
+        must be lists of integers (no floats, strings or booleans) and no element
+        may repeat; anything else raises ValueError rather than being coerced."""
         from .group import make_group
 
+        if not isinstance(d, dict) or not {"group", "elements"} <= d.keys():
+            raise ValueError('a set is an object with "group" and "elements" lists')
+        for key in ("group", "elements"):
+            if not isinstance(d[key], list) or any(type(v) is not int for v in d[key]):
+                raise ValueError(f'"{key}" must be a list of integers')
+        if len(set(d["elements"])) != len(d["elements"]):
+            raise ValueError("a set element is repeated")
         g = make_group(d["group"], max_size=max_size)
         return cls.from_indices(g, d["elements"])
 
@@ -177,9 +187,6 @@ class DenseFunc:
         if self.values.dtype.kind == "f":
             raise ValueError("function holds floating point values; only integer values are exact")
 
-    def max_abs(self) -> int:
-        return _max_abs(self.values)
-
 
 def as_func(f) -> DenseFunc:
     if isinstance(f, GSet):
@@ -187,6 +194,14 @@ def as_func(f) -> DenseFunc:
     if isinstance(f, DenseFunc):
         return f
     raise TypeError(f"expected GSet or DenseFunc, got {type(f)!r}")
+
+
+def _operand(f) -> tuple[np.ndarray, np.ndarray | None]:
+    """The kernel operand of a set (its mask, with its cached members as the
+    support) or of an integer function (its values)."""
+    if isinstance(f, GSet):
+        return f.mask, f.members
+    return as_func(f).values, None
 
 
 # -- exact convolution / correlation ------------------------------------------
@@ -309,16 +324,16 @@ def _same_group(name: str, f, g) -> GroupSpec:
 
 def convolve(f, g) -> DenseFunc:
     """(f*g)(x) = sum_y f(y) g(x-y), exact."""
-    ff, gg = as_func(f), as_func(g)
-    group = _same_group("convolve", ff, gg)
-    return DenseFunc(group, _conv_exact(group, ff.values, gg.values, +1))
+    (a, sa), (b, sb) = _operand(f), _operand(g)
+    group = _same_group("convolve", f, g)
+    return DenseFunc(group, _conv_exact(group, a, b, +1, sa, sb))
 
 
 def correlate(f, g) -> DenseFunc:
     """(f o g)(x) = sum_y f(y) g(y+x), exact."""
-    ff, gg = as_func(f), as_func(g)
-    group = _same_group("correlate", ff, gg)
-    return DenseFunc(group, _conv_exact(group, ff.values, gg.values, -1))
+    (a, sa), (b, sb) = _operand(f), _operand(g)
+    group = _same_group("correlate", f, g)
+    return DenseFunc(group, _conv_exact(group, a, b, -1, sa, sb))
 
 
 def set_correlate(A: GSet, B: GSet) -> np.ndarray:
@@ -345,10 +360,9 @@ def iterated_convolve(f, k: int) -> DenseFunc:
     """k >= 1 convolution applications: k=1 gives f*f, k=2 gives f*f*f, ..."""
     if k < 1:
         raise ValueError("iterated_convolve requires k >= 1")
-    ff = as_func(f)
-    out = ff
+    out = f
     for _ in range(k):
-        out = convolve(out, ff)
+        out = convolve(out, f)
     return out
 
 
@@ -373,15 +387,9 @@ def generalized_convolution(fs: Sequence, xs: Sequence[int]):
     for f in funcs[1:]:
         if f.group != g:
             raise ValueError("generalized_convolution: group mismatch")
-    bound = 1
-    for f in funcs:
-        bound *= max(1, f.max_abs())
-    bound *= g.size
-    acc = funcs[0].values.astype(object if bound >= INT64_SAFE_BOUND else np.int64, copy=True)
-    for f, x in zip(funcs[1:], xs):
-        acc = acc * _roll_array(g, f.values.astype(acc.dtype, copy=False), int(g.neg_perm[int(x)]))
-    total = sum(int(v) for v in acc.tolist())
-    return total
+    rows = [funcs[0].values] + [_roll_array(g, f.values, int(g.neg_perm[int(x)]))
+                                for f, x in zip(funcs[1:], xs)]
+    return _exact_sum(np.stack(rows))
 
 
 # -- slices ----------------------------------------------------------------------
@@ -399,14 +407,6 @@ def slice_set(A: GSet, B: GSet, shifts: Sequence[int]) -> GSet:
         if not mask.any():
             break
     return GSet(A.group, mask)
-
-
-def self_slice(A: GSet, shifts: Sequence[int]) -> GSet:
-    """A cap (A - s_1) cap ... (base set equals the sliced set)."""
-    out = A
-    for s in shifts:
-        out = out.intersect(A.shift_minus(int(s)))
-    return out
 
 
 # -- sumsets ---------------------------------------------------------------------
@@ -688,7 +688,7 @@ def katz_koester_check(A: GSet, shifts: Sequence[int]) -> bool:
     Both hold for every set and tuple; False signals a computation bug.
     """
     g = A.group
-    At = self_slice(A, shifts)
+    At = slice_set(A, A, shifts)
     D = difference_set(A, A)
     S = sumset(A, A)
     neg_shifts = [int(g.neg_perm[int(s)]) for s in shifts]

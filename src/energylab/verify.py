@@ -1,21 +1,32 @@
 """Verification harness: exact identity suite, theorem-backed inequality suite,
-and report-only ratio records for bounds whose constants are not quantified.
+report-only ratio records for bounds whose constants are not quantified, and
+the algorithm audits.
 
 Identity entries compare two independently computed values and must agree
 exactly (float-oracle entries compare after rounding at a stated tolerance).
 Inequality entries are theorems: any applicable entry that fails indicates a
 bug.  Entries whose hypotheses do not hold on an instance are skipped with the
 reason recorded.  Ratio entries never fail a run.
+
+Each suite is a tuple of check rows (tag, name, relation, compute) over one lazy
+`Profile` per instance: its entries (A o A, A - A, E_k, gamma, the uniformity
+counts, the per-shift |A -+ A_s| table, ...) are computed on first use and then
+held, and the two routes of an identity never share one.  `_evaluate` turns rows
+into CheckResults, a failed hypothesis or a BudgetError into a skip.  `run_corpus`
+runs all suites of an item on one profile, so `per_suite_seconds` charges a
+shared entry to the first suite that reads it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 
@@ -98,27 +109,183 @@ def _ratio_big(lhs: int, rhs: int) -> float | None:
         return None
 
 
-def _exact(name: str, tag: str, lhs: int, rhs: int, note: str = "") -> CheckResult:
-    status = "pass" if lhs == rhs else "fail"
-    return CheckResult(name, tag, _dec(lhs), _dec(rhs), status, _ratio_big(lhs, rhs), note)
+# ---------------------------------------------------------------------------
+# relations: each maps a row's computed values to (lhs, rhs, status, ratio, note)
+# ---------------------------------------------------------------------------
 
 
-def _ge(name: str, tag: str, lhs: int, rhs: int, note: str = "") -> CheckResult:
-    status = "pass" if lhs >= rhs else "fail"
-    return CheckResult(name, tag, _dec(lhs), _dec(rhs), status, _ratio_big(lhs, rhs), note)
+def _compare(op, lhs: int, rhs: int, note: str = ""):
+    return _dec(lhs), _dec(rhs), "pass" if op(lhs, rhs) else "fail", _ratio_big(lhs, rhs), note
 
 
-def _le(name: str, tag: str, lhs: int, rhs: int, note: str = "") -> CheckResult:
-    status = "pass" if lhs <= rhs else "fail"
-    return CheckResult(name, tag, _dec(lhs), _dec(rhs), status, _ratio_big(lhs, rhs), note)
+_EQ, _GE, _LE = (partial(_compare, op) for op in (operator.eq, operator.ge, operator.le))
 
 
-def _skip(name: str, tag: str, reason: str) -> CheckResult:
-    return CheckResult(name, tag, "", "", "skip", None, reason)
+def _REPORT(lhs, rhs, note: str = ""):
+    return _dec(lhs), _dec(rhs), "report", _ratio(lhs, rhs), note
 
 
-def _report(name: str, tag: str, lhs, rhs, note: str = "") -> CheckResult:
-    return CheckResult(name, tag, _dec(lhs), _dec(rhs), "report", _ratio(lhs, rhs), note)
+def _HOLDS(lhs: str, rhs: str, ok: bool, ratio: float | None = None, note: str = ""):
+    """A check that writes its own sides and decides its own verdict."""
+    return lhs, rhs, "pass" if ok else "fail", ratio, note
+
+
+class _Skip(Exception):
+    """A hypothesis of the row fails on this instance; the message is the reason."""
+
+
+def _need(holds: bool, reason: str) -> bool:
+    if not holds:
+        raise _Skip(reason)
+    return True
+
+
+def _when(applies, *rows) -> tuple:
+    """A block of rows that are left out wherever applies(profile) is false."""
+    return "", "", rows, applies
+
+
+# ---------------------------------------------------------------------------
+# the per-instance profile
+# ---------------------------------------------------------------------------
+
+
+class Profile:
+    """The derived quantities of one instance (A, B): each entry of _ENTRIES is
+    computed on first use and then held.  B defaults to A; `name` labels the
+    algorithm-audit notes."""
+
+    def __init__(self, A: GSet, B: GSet | None = None, config: VerifyConfig | None = None,
+                 name: str = ""):
+        self.A = A
+        self.B = B if B is not None else A
+        self.seed = (config or VerifyConfig()).seed
+        self.name = name
+        self.a = A.card
+
+    def __getattr__(self, entry: str):
+        # only reached while the entry is not yet held
+        if entry not in _ENTRIES:
+            raise AttributeError(entry)
+        value = _ENTRIES[entry](self)
+        setattr(self, entry, value)
+        return value
+
+
+def _slice_sumsets(p: Profile) -> dict[int, tuple[int, int]]:
+    """s -> (|A - A_s|, |A + A_s|) over the shifts with A_s nonempty."""
+    A = p.A
+    return {s: (difference_set(A, A.slice1(s)).card, sumset(A, A.slice1(s)).card)
+            for s in np.flatnonzero(p.ca).tolist()}
+
+
+def _slice_moments(p: Profile) -> tuple[int, np.ndarray]:
+    """(sum_s <A o A, A_s o A_s>, sum_s A_s o A_s) over the shifts with A_s nonempty."""
+    A = p.A
+    total = 0
+    acc = np.zeros(A.group.size, dtype=np.int64)
+    for s in np.flatnonzero(p.ca).tolist():
+        cs = set_correlate(A.slice1(s), A.slice1(s))
+        total += int(np.dot(p.ca, cs))
+        acc += cs
+    return total, acc
+
+
+def _e4da(p: Profile) -> tuple[int, int, int, int]:
+    """(d_sum, bound_d, s_sum, bound_s): the slice-within-slice masses and their
+    upper companions, weighted by (A o A)(x)^2 over the nonzero shifts x."""
+    D, S = p.D, p.S
+    d_sum = s_sum = bound_d = bound_s = 0
+    for x in p.nz:
+        w = int(p.ca[x]) ** 2
+        Dx = D.slice1(x)
+        d_sum += w * int(set_correlate(D, Dx)[Dx.members].sum())
+        bound_d += w * int(p.cd[x]) ** 2
+        Sx = S.intersect(S.shift_minus(x))
+        s_sum += w * int(convolve(Sx, D).values[Sx.members].sum())
+        bound_s += w * int(p.cs[x]) ** 2
+    return d_sum, bound_d, s_sum, bound_s
+
+
+def _seeded_trials(p: Profile) -> tuple[int, int, bool]:
+    """(worst_a, worst_ap, kk_ok), drawn in this order from the generator seeded
+    by (seed, A): the last violation (0 for none; a violation is positive) of the
+    operator bounds over EIGEN_TRIALS random functions on A and on its regular
+    part Ap, then the inclusion checks on the empty tuple and four seeded tuples."""
+    A, g = p.A, p.A.group
+    rng = np.random.Generator(np.random.Philox(key=[p.seed, zlib.crc32(A.key())]))
+    Ap = p.regular
+
+    def trial(X: GSet) -> tuple[int, int]:
+        """(E(A, f), |f|^2) for f random in {-3..3} minus 0 on X."""
+        vals = rng.integers(-3, 4, size=X.card)
+        vals[vals == 0] = 1
+        f = np.zeros(g.size, dtype=np.int64)
+        f[X.members] = vals
+        corr = correlate(DenseFunc(g, f), DenseFunc(g, f)).values
+        return int(np.dot(p.ca, corr)), int(np.dot(f, f))
+
+    worst_a = worst_ap = 0
+    for _ in range(EIGEN_TRIALS):
+        e_af, norm2 = trial(A)
+        if e_af > 0 and e_af ** 2 > p.E(3) * norm2 ** 2:
+            worst_a = e_af
+        e_afp, norm2p = trial(Ap)
+        if e_afp * p.a > 2 * p.E(2) * norm2p:
+            worst_ap = e_afp
+    kk_ok = katz_koester_check(A, [])
+    for _ in range(4):
+        arity = int(rng.integers(1, 3))
+        shifts = [int(s) for s in rng.choice(p.D.members, size=arity)]
+        kk_ok = kk_ok and katz_koester_check(A, shifts)
+    return worst_a, worst_ap, kk_ok
+
+
+# profile entries: name -> the call that computes it; E(k), U(d) and gamma(alpha)
+# (at beta = 1/2) hold one value per argument.  No entry refers back to the
+# profile, so a profile is freed as soon as its last user lets go of it.
+_ENTRIES = {
+    "E": lambda p: cache(lambda k, A=p.A: energy_k(A, k).value),
+    "U": lambda p: cache(lambda d, A=p.A: gowers_u(A, d).count),
+    "gamma": lambda p: cache(lambda alpha, A=p.A: connectedness_gamma(A, alpha, 0.5)[0]),
+    "ca": lambda p: set_correlate(p.A, p.A),
+    "D": lambda p: difference_set(p.A, p.A),
+    "S": lambda p: sumset(p.A, p.A),
+    "cd": lambda p: set_correlate(p.D, p.D),
+    "cs": lambda p: set_correlate(p.S, p.S),
+    "nz": lambda p: [s for s in np.flatnonzero(p.ca).tolist() if s != 0],
+    "sigma": lambda p: int(sigma_restricted(p.A, p.D)),
+    "e3_daa": lambda p: int(mixed_energy([p.D, p.A, p.A]).value),
+    "e_ab": lambda p: pair_energy(p.A, p.B),
+    "t4": lambda p: t_k(p.A, 4),
+    "plus_pairs": lambda p: delta_sumset_size(p.A, 2, "+", budget=NODE_BUDGET),
+    "regular": lambda p: regular_part(p.A),
+    "oracle": lambda p: small_doubling_subset_oracle(p.A, 0.5),
+    "slice_sumsets": _slice_sumsets,
+    "slice_moments": _slice_moments,
+    "e4da": _e4da,
+    "seeded_trials": _seeded_trials,
+}
+
+
+def _evaluate(rows: tuple, p: Profile) -> list[CheckResult]:
+    """The CheckResults of the rows in row order: relation(*compute(p)), or for a
+    block (a tuple of rows as relation) its rows wherever compute(p) is true."""
+    out: list[CheckResult] = []
+    for tag, name, relation, compute in rows:
+        try:
+            got = compute(p)
+        except (_Skip, BudgetError, AssertionError) as err:
+            # an AssertionError is an internal cross-check or audit that disagreed
+            status = "fail" if isinstance(err, AssertionError) else "skip"
+            out.append(CheckResult(name, tag, "", "", status, None, str(err)))
+            continue
+        if isinstance(relation, tuple):
+            if got:
+                out += _evaluate(relation, p)
+        else:
+            out.append(CheckResult(name, tag, *relation(*got)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,89 +293,56 @@ def _report(name: str, tag: str, lhs, rhs, note: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_identity_suite(A: GSet, B: GSet | None = None,
-                       config: VerifyConfig | None = None) -> list[CheckResult]:
-    """Exact-equality checks; every entry must pass on a correct build."""
-    Beff = B if B is not None else A
-    out: list[CheckResult] = []
-    g = A.group
-    N = g.size
-
-    ca = set_correlate(A, A)
-    supp = np.flatnonzero(ca).tolist()
-
-    # (i) slice-energy sums against the third and fourth moments
-    e3 = int(energy_k(A, 3).value)
-    e4 = int(energy_k(A, 4).value)
-    sum_e_a_as = 0
-    f_acc = np.zeros(N, dtype=np.int64)
-    for s in supp:
-        cs = set_correlate(A.slice1(s), A.slice1(s))
-        sum_e_a_as += int(np.dot(ca, cs))
-        f_acc += cs
-    out.append(_exact("third moment equals sum of slice pair energies",
-                      "identity.e3_slice_sum", sum_e_a_as, e3))
-    sum_pairwise = _exact_sum(f_acc, 2)
-    out.append(_exact("fourth moment equals double slice-energy sum",
-                      "identity.e4_slice_pair_sum", sum_pairwise, e4))
-
-    # (ii) tuple-count dual computations for both signs: the direct distinct-pair
-    # sweep against the per-shift slice-sumset sum
-    try:
-        for sign, tagged in (("-", "identity.delta_minus_paths"),
-                             ("+", "identity.delta_plus_paths")):
-            direct = delta_pairs_direct(A, sign)
-            via_sum = tuple_sumset_sum(A, 1, sign, budget=NODE_BUDGET)
-            out.append(_exact(f"pair tuple count, sign {sign}: direct vs shift sum",
-                              tagged, direct, via_sum))
-    except BudgetError as err:
-        out.append(_skip("pair tuple count", "identity.delta_paths", str(err)))
-
-    # (iii) transform oracle for the pair energy
-    e_ab = pair_energy(A, Beff)
-    e_ab_f = pair_energy_spectrum(A, Beff)
+def _spectrum_pair_energy(p: Profile):
+    e_ab, e_ab_f = p.e_ab, pair_energy_spectrum(p.A, p.B)
     resid = abs(e_ab_f - e_ab)
-    out.append(CheckResult("pair energy: exact vs transform after rounding",
-                           "identity.pair_energy_spectrum", _dec(e_ab), repr(e_ab_f),
-                           "pass" if resid < max(ORACLE_ROUND_TOL, FLOAT_REL_TOL * e_ab) else "fail",
-                           _ratio(e_ab_f, e_ab), f"residual={resid:.3e}"))
+    return (_dec(e_ab), repr(e_ab_f), resid < max(ORACLE_ROUND_TOL, FLOAT_REL_TOL * e_ab),
+            _ratio(e_ab_f, e_ab), f"residual={resid:.3e}")
 
-    # (iv) low-order uniformity counts
-    out.append(_exact("order-1 uniformity count equals |A|^2", "identity.u1_card_sq",
-                      gowers_u(A, 1).count, A.card ** 2))
-    out.append(_exact("order-2 uniformity count equals the energy", "identity.u2_energy",
-                      gowers_u(A, 2).count, int(energy_k(A, 2).value)))
 
-    # (v) dual identity: T_2 of the squared spectrum vs N^3 E_4
-    lhs_f = t2_of_dual_square(A)
-    rhs_i = N ** 3 * e4
+def _dual_fourth_moment(p: Profile):
+    lhs_f = t2_of_dual_square(p.A)
+    rhs_i = p.A.group.size ** 3 * p.E(4)
     rel = abs(lhs_f - rhs_i) / max(1.0, float(rhs_i))
-    out.append(CheckResult("dual fourth-moment identity (transform path)",
-                           "identity.t2_dual_spectrum", repr(lhs_f), _dec(rhs_i),
-                           "pass" if rel < FLOAT_REL_TOL else "fail",
-                           _ratio(lhs_f, rhs_i), f"rel={rel:.3e}"))
+    return repr(lhs_f), _dec(rhs_i), rel < FLOAT_REL_TOL, _ratio(lhs_f, rhs_i), f"rel={rel:.3e}"
 
-    # (vi) indicator characterization on the dual side
-    F = fourier_array(g, A.mask.astype(np.float64))
-    rhs_arr = complex_correlate(g, np.conj(F), F) / N
-    err = float(np.max(np.abs(F - rhs_arr)))
-    tol = FLOAT_REL_TOL * max(1.0, float(A.card))
-    out.append(CheckResult("indicator spectrum self-consistency", "identity.char_char",
-                           f"max|delta|={err:.3e}", f"tol={tol:.3e}",
-                           "pass" if err <= tol else "fail", None, ""))
 
-    # (vii) pair third moment as a two-shift tuple sum
-    e3_ab = int(energy_pair_k(A, Beff, 3).value)
-    tuple_total = 0
-    cab = set_correlate(A, Beff)
-    for x1 in np.flatnonzero(cab).tolist():
-        W = A.intersect(Beff.shift_minus(x1))
-        tuple_total += pair_energy(W, Beff)
-    out.append(_exact("pair third moment equals two-shift slice sum",
-                      "identity.pair_e3_tuple_sum", tuple_total, e3_ab))
+def _indicator_spectrum(p: Profile):
+    g = p.A.group
+    F = fourier_array(g, p.A.mask.astype(np.float64))
+    err = float(np.max(np.abs(F - complex_correlate(g, np.conj(F), F) / g.size)))
+    tol = FLOAT_REL_TOL * max(1.0, float(p.a))
+    return f"max|delta|={err:.3e}", f"tol={tol:.3e}", err <= tol
 
-    out.sort(key=lambda r: r.name)
-    return out
+
+def _two_shift_sum(p: Profile) -> int:
+    A, B = p.A, p.B
+    return sum(pair_energy(A.intersect(B.shift_minus(x1)), B)
+               for x1 in np.flatnonzero(set_correlate(A, B)).tolist())
+
+
+_IDENTITY = (
+    ("identity.e3_slice_sum", "third moment equals sum of slice pair energies", _EQ,
+     lambda p: (p.slice_moments[0], p.E(3))),
+    ("identity.e4_slice_pair_sum", "fourth moment equals double slice-energy sum", _EQ,
+     lambda p: (_exact_sum(p.slice_moments[1], 2), p.E(4))),
+    # the direct distinct-pair sweep against the per-shift slice-sumset sum
+    *((f"identity.delta_{word}_paths", f"pair tuple count, sign {sign}: direct vs shift sum", _EQ,
+       lambda p, sign=sign: (delta_pairs_direct(p.A, sign),
+                             tuple_sumset_sum(p.A, 1, sign, budget=NODE_BUDGET)))
+      for sign, word in (("-", "minus"), ("+", "plus"))),
+    ("identity.pair_energy_spectrum", "pair energy: exact vs transform after rounding", _HOLDS,
+     _spectrum_pair_energy),
+    ("identity.u1_card_sq", "order-1 uniformity count equals |A|^2", _EQ,
+     lambda p: (p.U(1), p.a ** 2)),
+    ("identity.u2_energy", "order-2 uniformity count equals the energy", _EQ,
+     lambda p: (p.U(2), p.E(2))),
+    ("identity.t2_dual_spectrum", "dual fourth-moment identity (transform path)", _HOLDS,
+     _dual_fourth_moment),
+    ("identity.char_char", "indicator spectrum self-consistency", _HOLDS, _indicator_spectrum),
+    ("identity.pair_e3_tuple_sum", "pair third moment equals two-shift slice sum", _EQ,
+     lambda p: (_two_shift_sum(p), int(energy_pair_k(p.A, p.B, 3).value))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,224 +353,154 @@ def run_identity_suite(A: GSet, B: GSet | None = None,
 def _popular_half(g, corr: np.ndarray) -> GSet:
     """Support points whose correlation value reaches the median nonzero value."""
     sup = np.flatnonzero(corr)
-    if not sup.size:
-        return GSet.empty(g)
-    vals = corr[sup]
-    med = float(np.median(vals))
-    keep = sup[vals >= med]
     mask = np.zeros(g.size, dtype=bool)
-    mask[keep] = True
+    if sup.size:
+        mask[sup[corr[sup] >= float(np.median(corr[sup]))]] = True
     return GSet(g, mask)
 
 
-def _seeded_rng(seed: int, A: GSet) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, zlib.crc32(A.key())]))
+def _slice_weighted_sum(p: Profile, side: int):
+    """sum_s (A o A)(s)^2 / |A -+ A_s| against E_3 / |A|^2, compared exactly."""
+    acc = sum((Fraction(int(p.ca[s]) ** 2, cards[side]) for s, cards in p.slice_sumsets.items()),
+              Fraction(0))
+    e3, a = p.E(3), p.a
+    return (repr(float(acc)), repr(e3 / a ** 2), acc <= Fraction(e3, a * a),
+            _ratio(float(acc), e3 / a ** 2), "exact rational comparison")
 
 
-def run_inequality_suite(A: GSet, B: GSet | None = None,
-                         config: VerifyConfig | None = None) -> list[CheckResult]:
-    """Theorem-backed inequalities; applicable entries must all pass."""
-    cfg = config or VerifyConfig()
-    out: list[CheckResult] = []
-    g = A.group
-    a = A.card
-    if a == 0:
-        return [_skip("inequality suite", "ineq.empty", "empty set")]
-    Beff = B if B is not None else A
+def _plunnecke(p: Profile, T: GSet, h: int):
+    """T = nA - mA with n + m = h."""
+    return T.card * p.a ** (h - 1), p.S.card ** h, "|nA-mA| |A|^{n+m-1} <= |A+A|^{n+m}"
 
-    ca = set_correlate(A, A)
-    D = difference_set(A, A)
-    S = sumset(A, A)
-    e2 = int(energy_k(A, 2).value)
-    e3 = int(energy_k(A, 3).value)
-    e4 = int(energy_k(A, 4).value)
-    sigma_full = int(sigma_restricted(A, D))
 
-    # popular-shift mass over the full difference set (both signs)
-    for sign, tag in (("-", "ineq.corpop_minus"), ("+", "ineq.corpop_plus")):
-        total = tuple_sumset_sum(A, 1, sign)
-        out.append(_ge(f"popular-shift sumset mass, sign {sign}", tag,
-                       total * e3, sigma_full ** 2 * a ** 2,
-                       "sum_s |A-+A_s| * E_3 vs sigma^2 |A|^2"))
+def _connected_energy(p: Profile):
+    a = p.a
+    _need(a <= GAMMA_CAP, f"|A|={a} over the witness-search cap {GAMMA_CAP}")
+    gamma = p.gamma(2)
+    e32 = float(p.E(1.5))
+    rhs_f = 2.0 ** -5 * gamma * a ** 0.25 * p.E(2) ** 0.75
+    return (repr(e32), repr(rhs_f), e32 >= rhs_f * (1 - 1e-12), _ratio(e32, rhs_f),
+            f"gamma={gamma:.6f} at beta=1/2")
 
-    # mixed third-moment lower bound with the full difference set
-    e3_daa = int(mixed_energy([D, A, A]).value)
-    out.append(_ge("mixed third moment against popular mass", "ineq.corpop_mixed",
-                   e3_daa * e3 * a ** 6, e2 ** 2 * sigma_full ** 4))
 
-    # weighted slice-size sums (both signs)
-    for sign, tag in (("-", "ineq.e3_weight_minus"), ("+", "ineq.e3_weight_plus")):
-        acc = Fraction(0)
-        for s in np.flatnonzero(ca).tolist():
-            As = A.slice1(s)
-            denom = (difference_set(A, As) if sign == "-" else sumset(A, As)).card
-            acc += Fraction(int(ca[s]) ** 2, denom)
-        ok = acc <= Fraction(e3, a * a)
-        out.append(CheckResult(f"slice-size weighted sum, sign {sign}", tag,
-                               repr(float(acc)), repr(e3 / a ** 2),
-                               "pass" if ok else "fail", _ratio(float(acc), e3 / a ** 2),
-                               "exact rational comparison"))
+def _containment_mass(p: Profile):
+    SAB = sumset(p.A, p.B)
+    e3_ba = int(energy_pair_k(p.B, p.A, 3).value)
+    quad = _exact_sum(p.ca, 2, set_correlate(SAB, SAB))
+    return p.B.card ** 2 * p.E(2) ** 2, e3_ba * quad, "psi = (A o A), superset = A+B"
 
-    # iterated sumset growth from the doubling constant
-    for (n, m), tag in (((2, 0), "ineq.plunnecke_2_0"), ((1, 1), "ineq.plunnecke_1_1"),
-                        ((2, 1), "ineq.plunnecke_2_1")):
-        T = A
-        for _ in range(n - 1):
-            T = sumset(T, A)
-        for _ in range(m):
-            T = difference_set(T, A)
-        out.append(_le(f"iterated sumset growth |{n}A-{m}A|", tag,
-                       T.card * a ** (n + m - 1), S.card ** (n + m),
-                       "|nA-mA| |A|^{n+m-1} <= |A+A|^{n+m}"))
 
-    # connectedness-driven fractional-moment lower bound
-    if a <= GAMMA_CAP:
-        gamma, _w = connectedness_gamma(A, 2, 0.5)
-        e32 = float(energy_k(A, 1.5).value)
-        rhs_f = 2.0 ** -5 * gamma * a ** 0.25 * e2 ** 0.75
-        out.append(CheckResult("fractional moment under connectedness",
-                               "ineq.connected_energy", repr(e32), repr(rhs_f),
-                               "pass" if e32 >= rhs_f * (1 - 1e-12) else "fail",
-                               _ratio(e32, rhs_f), f"gamma={gamma:.6f} at beta=1/2"))
-    else:
-        out.append(_skip("fractional moment under connectedness", "ineq.connected_energy",
-                         f"|A|={a} over the witness-search cap {GAMMA_CAP}"))
+def _moment(p: Profile, corr: np.ndarray, k: int) -> int:
+    """sum over x in A - A of corr(x)^k."""
+    return _exact_sum(corr[p.D.members], k)
 
-    # weighted mass through a superset of A+B
-    SAB = sumset(A, Beff)
-    lhs_i = Beff.card ** 2 * e2 ** 2
-    e3_ba = int(energy_pair_k(Beff, A, 3).value)
-    css = set_correlate(SAB, SAB)
-    quad = _exact_sum(ca, 2, css)
-    out.append(_le("containment-weighted pair mass", "ineq.t_ab", lhs_i, e3_ba * quad,
-                   "psi = (A o A), superset = A+B"))
 
-    # difference-set moment chains
-    cd = set_correlate(D, D)
-    cs_arr = set_correlate(S, S)
-    plus_pairs = delta_sumset_size(A, 2, "+", budget=NODE_BUDGET)
-    for k in (1, 2, 3):
-        edk = _exact_sum(cd[D.members], k)
-        name = f"difference-set moment chain k={k}"
-        try:
-            mid = count_nonempty_slice_tuples(A, k + 1, budget=NODE_BUDGET)
-            ok = edk >= mid >= D.card * a ** k
-            out.append(CheckResult(name, f"ineq.ekd_chain_minus_k{k}", _dec(edk),
-                                   f"{mid} >= {D.card * a ** k}",
-                                   "pass" if ok else "fail",
-                                   _ratio_big(edk, D.card * a ** k),
-                                   f"middle tuple count {mid}"))
-        except BudgetError as err:
-            out.append(_skip(name, f"ineq.ekd_chain_minus_k{k}", str(err)))
-        eds = _exact_sum(cs_arr[D.members], k)
-        rhs_chain = a ** (k - 1) * plus_pairs
-        ok2 = eds >= rhs_chain >= a ** k * max(D.card, S.card)
-        out.append(CheckResult(f"sumset moment chain k={k}", f"ineq.ekd_chain_plus_k{k}",
-                               _dec(eds), f"{rhs_chain} >= {a ** k * max(D.card, S.card)}",
-                               "pass" if ok2 else "fail",
-                               _ratio_big(eds, a ** k * max(D.card, S.card)), ""))
+def _chain(p: Profile, corr: np.ndarray, k: int, mid: int, low: int, note: str = ""):
+    """sum over x in A - A of corr(x)^k >= mid >= low."""
+    top = _moment(p, corr, k)
+    return _dec(top), f"{mid} >= {low}", top >= mid >= low, _ratio_big(top, low), note
 
-    # fourth-moment vs additive structure of D and S (k = 2)
-    out.append(_le("eighth power bound via difference set", "ineq.lev_minus",
-                   a ** 8, e4 * t_k(D, 2)))
-    out.append(_le("eighth power bound via sumset", "ineq.lev_plus",
-                   a ** 8, e4 * t_k(S, 2)))
 
-    # popular-half variant
-    P = _popular_half(g, ca)
-    sigma_p = int(sigma_restricted(A, P))
+def _chain_minus(p: Profile, k: int):
+    mid = count_nonempty_slice_tuples(p.A, k + 1, budget=NODE_BUDGET)
+    return _chain(p, p.cd, k, mid, p.D.card * p.a ** k, f"middle tuple count {mid}")
+
+
+def _popular_bound(p: Profile):
+    P = _popular_half(p.A.group, p.ca)
+    sigma_p = int(sigma_restricted(p.A, P))
     t2p = t_k(P, 2) if P.card >= 2 else (1 if P.card else 0)
-    out.append(_le("eighth power bound on the popular half", "ineq.lev_popular",
-                   sigma_p ** 8, e4 * t2p * a ** 8, f"|P|={P.card}"))
+    return sigma_p ** 8, p.E(4) * t2p * p.a ** 8, f"|P|={P.card}"
 
-    # two-set variant (k = 2)
-    cba = set_correlate(Beff, A)
-    Pab = _popular_half(g, cba)
+
+def _two_set_bound(p: Profile):
+    A, B = p.A, p.B
+    cba = set_correlate(B, A)
+    Pab = _popular_half(A.group, cba)
     num = int(cba[Pab.members].sum()) if Pab.card else 0
-    e4_mixed = int(mixed_energy([A, A, Beff, Beff]).value)
+    e4_mixed = int(mixed_energy([A, A, B, B]).value)
     e_p = int(energy_k(Pab, 2).value) if Pab.card else 0
-    out.append(_le("two-set eighth power bound", "ineq.lev_pair",
-                   num ** 8, e4_mixed * e_p * a ** 4 * Beff.card ** 4,
-                   f"popular |P|={Pab.card} inside A-B"))
+    return (num ** 8, e4_mixed * e_p * p.a ** 4 * B.card ** 4,
+            f"popular |P|={Pab.card} inside A-B")
 
+
+def _monotonicity(p: Profile, d: int):
+    N = p.A.group.size
+    lo = (p.U(d - 1) / N ** d) ** (1.0 / (1 << (d - 1)))
+    hi = (p.U(d) / N ** (d + 1)) ** (1.0 / (1 << d))
+    return repr(lo), repr(hi), lo <= hi * (1 + 1e-12) + 1e-12, _ratio(lo, hi)
+
+
+def _remark_exponents(k: int) -> tuple[int, int]:
+    """(exponent of E, exponent of |A|) in the order-k uniformity floor."""
+    return (1 << k) - k - 1, 3 * (1 << k) - 4 * k - 4
+
+
+_INEQUALITY_ROWS = (
+    # popular-shift mass over the full difference set (both signs)
+    *((f"ineq.corpop_{word}", f"popular-shift sumset mass, sign {sign}", _GE,
+       lambda p, sign=sign: (tuple_sumset_sum(p.A, 1, sign) * p.E(3), p.sigma ** 2 * p.a ** 2,
+                             "sum_s |A-+A_s| * E_3 vs sigma^2 |A|^2"))
+      for sign, word in (("-", "minus"), ("+", "plus"))),
+    ("ineq.corpop_mixed", "mixed third moment against popular mass", _GE,
+     lambda p: (p.e3_daa * p.E(3) * p.a ** 6, p.E(2) ** 2 * p.sigma ** 4)),
+    *((f"ineq.e3_weight_{word}", f"slice-size weighted sum, sign {sign}", _HOLDS,
+       lambda p, side=side: _slice_weighted_sum(p, side))
+      for side, (sign, word) in enumerate((("-", "minus"), ("+", "plus")))),
+    ("ineq.plunnecke_2_0", "iterated sumset growth |2A-0A|", _LE, lambda p: _plunnecke(p, p.S, 2)),
+    ("ineq.plunnecke_1_1", "iterated sumset growth |1A-1A|", _LE, lambda p: _plunnecke(p, p.D, 2)),
+    ("ineq.plunnecke_2_1", "iterated sumset growth |2A-1A|", _LE,
+     lambda p: _plunnecke(p, difference_set(p.S, p.A), 3)),
+    ("ineq.connected_energy", "fractional moment under connectedness", _HOLDS, _connected_energy),
+    ("ineq.t_ab", "containment-weighted pair mass", _LE, _containment_mass),
+    # difference-set moment chains
+    *((f"ineq.ekd_chain_minus_k{k}", f"difference-set moment chain k={k}", _HOLDS,
+       lambda p, k=k: _chain_minus(p, k)) for k in (1, 2, 3)),
+    *((f"ineq.ekd_chain_plus_k{k}", f"sumset moment chain k={k}", _HOLDS,
+       lambda p, k=k: _chain(p, p.cs, k, p.a ** (k - 1) * p.plus_pairs,
+                             p.a ** k * max(p.D.card, p.S.card)))
+      for k in (1, 2, 3)),
+    # fourth-moment vs additive structure of D and S (k = 2)
+    ("ineq.lev_minus", "eighth power bound via difference set", _LE,
+     lambda p: (p.a ** 8, p.E(4) * t_k(p.D, 2))),
+    ("ineq.lev_plus", "eighth power bound via sumset", _LE,
+     lambda p: (p.a ** 8, p.E(4) * t_k(p.S, 2))),
+    ("ineq.lev_popular", "eighth power bound on the popular half", _LE, _popular_bound),
+    ("ineq.lev_pair", "two-set eighth power bound", _LE, _two_set_bound),
     # uniformity-count growth chain
-    u = {d: gowers_u(A, d).count for d in (1, 2, 3, 4, 5)}
-    for k in (2, 3, 4):
-        out.append(_ge(f"uniformity growth k={k}", f"ineq.gowers_growth_k{k}",
-                       u[k + 1] ** (k - 1) * u[k - 1] ** (2 * k), u[k] ** (3 * k - 2),
+    *((f"ineq.gowers_growth_k{k}", f"uniformity growth k={k}", _GE,
+       lambda p, k=k: (p.U(k + 1) ** (k - 1) * p.U(k - 1) ** (2 * k), p.U(k) ** (3 * k - 2),
                        "count_{k+1}^{k-1} count_{k-1}^{2k} >= count_k^{3k-2}"))
-    out.append(_ge("order-3 count against energy", "ineq.gowers_u3_lower",
-                   u[3] * a ** 8, e2 ** 4))
-    out.append(_le("order-3 count below third moment", "ineq.u3_upper", u[3], e3))
-    out.append(_le("squared order-3 count below mixed moments", "ineq.u3_upper_sq",
-                   u[3] ** 2, e4 * e2))
-    kdbl = min(D.card, S.card)
-    out.append(_ge("order-3 count under small doubling", "ineq.u3_doubling",
-                   u[3] * kdbl ** 4, a ** 8, "K = min(|A-A|,|A+A|)/|A|"))
-    for k in (3, 4):
-        exp_e = (1 << k) - k - 1
-        exp_a = 3 * (1 << k) - 4 * k - 4
-        out.append(_ge(f"uniformity count floor k={k}", f"ineq.gowers_remark_k{k}",
-                       u[k] * a ** exp_a, e2 ** exp_e))
+      for k in (2, 3, 4)),
+    ("ineq.gowers_u3_lower", "order-3 count against energy", _GE,
+     lambda p: (p.U(3) * p.a ** 8, p.E(2) ** 4)),
+    ("ineq.u3_upper", "order-3 count below third moment", _LE, lambda p: (p.U(3), p.E(3))),
+    ("ineq.u3_upper_sq", "squared order-3 count below mixed moments", _LE,
+     lambda p: (p.U(3) ** 2, p.E(4) * p.E(2))),
+    ("ineq.u3_doubling", "order-3 count under small doubling", _GE,
+     lambda p: (p.U(3) * min(p.D.card, p.S.card) ** 4, p.a ** 8, "K = min(|A-A|,|A+A|)/|A|")),
+    *((f"ineq.gowers_remark_k{k}", f"uniformity count floor k={k}", _GE,
+       lambda p, k=k, x=_remark_exponents(k): (p.U(k) * p.a ** x[1], p.E(2) ** x[0]))
+      for k in (3, 4)),
+    *((f"ineq.gowers_mon_d{d}", f"normalized monotonicity d={d}", _HOLDS,
+       lambda p, d=d: _monotonicity(p, d)) for d in (2, 3, 4)),
+    ("ineq.pair_u3_lower", "two-set order-3 count lower bound", _GE,
+     lambda p: (int(gowers_pair_u3(p.A, p.B).value) * p.a ** 4 * p.B.card ** 4, p.e_ab ** 4)),
+    # spectral-type bounds on random integer functions, then seeded inclusion tuples
+    ("ineq.eigen_a", "operator bound on random functions", _HOLDS,
+     lambda p: (_dec(p.seeded_trials[0]), _dec(p.E(3)), not p.seeded_trials[0], None,
+                f"{EIGEN_TRIALS} seeded trials, E(A,f)^2 <= E_3 |f|^4")),
+    ("ineq.eigen_a_regular", "operator bound on the regular part", _HOLDS,
+     lambda p: (_dec(p.seeded_trials[1]), _dec(2 * p.E(2)), not p.seeded_trials[1], None,
+                f"{EIGEN_TRIALS} seeded trials, E(A,f) |A| <= 2 E |f|^2")),
+    ("ineq.katz_koester", "slice-sumset inclusions", _HOLDS,
+     lambda p: (str(p.seeded_trials[2]), "True", p.seeded_trials[2], None,
+                "both signs, seeded tuples of arity <= 2")),
+)
 
-    # normalized monotonicity
-    for d in (2, 3, 4):
-        lo = (u[d - 1] / g.size ** d) ** (1.0 / (1 << (d - 1)))
-        hi = (u[d] / g.size ** (d + 1)) ** (1.0 / (1 << d))
-        out.append(CheckResult(f"normalized monotonicity d={d}", f"ineq.gowers_mon_d{d}",
-                               repr(lo), repr(hi),
-                               "pass" if lo <= hi * (1 + 1e-12) + 1e-12 else "fail",
-                               _ratio(lo, hi), ""))
-
-    # two-set order-3 lower bound
-    pu3 = gowers_pair_u3(A, Beff)
-    e_ab = pair_energy(A, Beff)
-    out.append(_ge("two-set order-3 count lower bound", "ineq.pair_u3_lower",
-                   int(pu3.value) * a ** 4 * Beff.card ** 4, e_ab ** 4))
-
-    # spectral-type bounds on random integer functions
-    rng = _seeded_rng(cfg.seed, A)
-    Ap = regular_part(A)
-    ok_a = ok_ap = True
-    worst_a = worst_ap = 0
-    for _ in range(EIGEN_TRIALS):
-        vals = rng.integers(-3, 4, size=a)
-        vals[vals == 0] = 1
-        f = np.zeros(g.size, dtype=np.int64)
-        f[A.members] = vals
-        corr_f = correlate(DenseFunc(g, f), DenseFunc(g, f)).values
-        e_af = int(np.dot(ca, corr_f))
-        norm2 = int(np.dot(f, f))
-        if e_af > 0 and e_af ** 2 > e3 * norm2 ** 2:
-            ok_a, worst_a = False, e_af
-        vals_p = rng.integers(-3, 4, size=Ap.card)
-        vals_p[vals_p == 0] = 1
-        fp = np.zeros(g.size, dtype=np.int64)
-        fp[Ap.members] = vals_p
-        corr_fp = correlate(DenseFunc(g, fp), DenseFunc(g, fp)).values
-        e_afp = int(np.dot(ca, corr_fp))
-        norm2p = int(np.dot(fp, fp))
-        if e_afp * a > 2 * e2 * norm2p:
-            ok_ap, worst_ap = False, e_afp
-    out.append(CheckResult("operator bound on random functions", "ineq.eigen_a",
-                           _dec(worst_a), _dec(e3), "pass" if ok_a else "fail", None,
-                           f"{EIGEN_TRIALS} seeded trials, E(A,f)^2 <= E_3 |f|^4"))
-    out.append(CheckResult("operator bound on the regular part", "ineq.eigen_a_regular",
-                           _dec(worst_ap), _dec(2 * e2), "pass" if ok_ap else "fail", None,
-                           f"{EIGEN_TRIALS} seeded trials, E(A,f) |A| <= 2 E |f|^2"))
-
-    # inclusion checks on seeded tuples
-    kk_ok = katz_koester_check(A, [])
-    for _ in range(4):
-        arity = int(rng.integers(1, 3))
-        shifts = [int(s) for s in rng.choice(D.members, size=arity)]
-        kk_ok = kk_ok and katz_koester_check(A, shifts)
-    out.append(CheckResult("slice-sumset inclusions", "ineq.katz_koester",
-                           str(kk_ok), "True", "pass" if kk_ok else "fail", None,
-                           "both signs, seeded tuples of arity <= 2"))
-
-    out.sort(key=lambda r: r.name)
-    return out
+_INEQUALITY = (
+    ("ineq.empty", "inequality suite", _INEQUALITY_ROWS, lambda p: _need(p.a, "empty set")),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -444,152 +508,152 @@ def run_inequality_suite(A: GSet, B: GSet | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _max_slice(p: Profile, side: int) -> int:
+    """max over the nonzero shifts s of |A - A_s| (side 0) or |A + A_s| (side 1)."""
+    return max(p.slice_sumsets[s][side] for s in p.nz)
+
+
+def _slice_scale(p: Profile, gamma: float = 1.0) -> float:
+    """sqrt(gamma K_E) |A| with K_E = |A|^3 / E."""
+    return math.sqrt(gamma) * math.sqrt(p.a ** 3 / p.E(2)) * p.a
+
+
+def _restricted_third(p: Profile, corr: np.ndarray):
+    best = max(float(p.D.card) ** 12, p.a ** 45 / (p.E(2) ** 9 * p.D.card ** 2))
+    return float(_moment(p, corr, 3)) ** 4, best
+
+
+def _e4da_guard(p: Profile) -> bool:
+    est = len(p.nz) * p.D.card * p.D.card
+    return _need(est <= DK_PAIR_BUDGET, f"pair estimate {est} over budget")
+
+
+_RATIO_ROWS = (
+    ("ratio.e3_diffset_74", "difference-set third moment vs doubling", _REPORT,
+     lambda p: (int(energy_k(p.D, 3).value), (p.D.card / p.a) ** 1.75 * p.a ** 4,
+                f"K={p.D.card / p.a:.6f}")),
+    _when(lambda p: p.nz, *(
+        (f"ratio.max_slice_{word}", f"max slice {kind} cubed", _REPORT,
+         lambda p, side=side: (_max_slice(p, side) ** 3, p.a ** 10 / (p.D.card * p.E(2) ** 2),
+                               f"hypothesis E_3 >= 2|A|^3: {p.E(3) >= 2 * p.a ** 3}"))
+        for side, (word, kind) in enumerate((("minus", "difference-sumset"),
+                                             ("plus", "plus-sumset"))))),
+    _when(lambda p: p.a > GAMMA_CAP,
+          ("ratio.dx", "largest difference-set slice", _REPORT,
+           lambda p: (int(p.cd[1:].max(initial=0)), _slice_scale(p),
+                      "gamma unmeasured (size cap); reported with gamma=1"))),
+    # rows that need gamma, measured up to the witness-search cap
+    _when(lambda p: p.a <= GAMMA_CAP,
+          _when(lambda p: p.nz,
+                ("ratio.max_slice_conn", "max slice sumset squared under connectedness", _REPORT,
+                 lambda p: (max(_max_slice(p, 0), _max_slice(p, 1)) ** 2,
+                            p.gamma(3) * p.a ** 5 / p.E(2), f"gamma(3,1/2)={p.gamma(3):.6f}"))),
+          ("ratio.dx", "largest difference-set slice", _REPORT,
+           lambda p: (int(p.cd[1:].max(initial=0)), _slice_scale(p, p.gamma(3)),
+                      f"gamma(3,1/2)={p.gamma(3):.6f}, K_E={p.a ** 3 / p.E(2):.4f}")),
+          ("ratio.sx", "largest sumset slice", _REPORT,
+           lambda p: (int(p.cs[1:].max(initial=0)), _slice_scale(p, p.gamma(3)), "")),
+          ("ratio.e3_mixed_conn", "mixed third moment under connectedness", _REPORT,
+           lambda p: (p.e3_daa ** 2, p.gamma(2) * p.a ** 5 * p.E(2),
+                      f"gamma(2,1/2)={p.gamma(2):.6f}")),
+          _when(lambda p: p.a >= 2,
+                ("ratio.ekd3_conn_32", "restricted third moment, fractional connectedness", _REPORT,
+                 lambda p: (_moment(p, p.cd, 3), p.gamma(1.5) * p.a ** (33 / 4) * float(p.E(1.5))
+                            / (p.E(2) ** (9 / 4) * math.log2(p.a)),
+                            f"gamma(3/2,1/2)={p.gamma(1.5):.6f}")),
+                ("ratio.ekd3_conn_2", "restricted third moment, quadratic connectedness", _REPORT,
+                 lambda p: (_moment(p, p.cd, 3),
+                            p.gamma(2) * p.a ** (17 / 2) / (p.E(2) ** 1.5 * math.log2(p.a)),
+                            f"gamma(2,1/2)={p.gamma(2):.6f}"))),
+          ("ratio.e3paa", "popular mixed third moment", _REPORT,
+           lambda p: (p.e3_daa, 2 ** -9 * math.sqrt(p.gamma(3)) * p.sigma ** 5 * p.E(2) / p.a ** 9,
+                      f"P = A-A, gamma(3,1/2)={p.gamma(3):.6f}"))),
+    ("ratio.e3_mixed_minus", "mixed difference-set third moment squared", _REPORT,
+     lambda p: (p.e3_daa ** 2, p.a ** 13 / (p.D.card ** 2 * p.E(2)))),
+    ("ratio.e3_mixed_plus", "mixed sumset third moment squared", _REPORT,
+     lambda p: (int(mixed_energy([p.S, p.A, p.A]).value) ** 2,
+                p.a ** 13 / (p.D.card ** 2 * p.E(2)))),
+    ("ratio.ekd3_minus", "restricted difference-set third moment to the fourth", _REPORT,
+     lambda p: _restricted_third(p, p.cd)),
+    ("ratio.ekd3_plus", "restricted sumset third moment to the fourth", _REPORT,
+     lambda p: _restricted_third(p, p.cs)),
+    # slice-within-slice mass sums (k = 2), guarded by a pair budget
+    ("ratio.e4da", "slice-within-slice mass", (
+        ("ratio.e4da_minus", "slice-within-slice difference mass", _REPORT,
+         lambda p: (p.e4da[0], p.a ** 5, f"upper companion {p.e4da[1]}")),
+        ("ratio.e4da_plus", "slice-within-slice sumset mass", _REPORT,
+         lambda p: (p.e4da[2], p.a ** 5, f"upper companion {p.e4da[3]}")),
+    ), _e4da_guard),
+    # self-dual criterion and criticality ratios
+    ("ratio.selfdual", "self-dual criterion", _REPORT, lambda p: (p.U(3) ** 2, p.E(4) * p.E(2))),
+    ("ratio.critical_e3", "third-moment criticality", _REPORT, lambda p: (p.E(3), p.a * p.E(2))),
+    ("ratio.critical_t4", "fourth-sum criticality", _REPORT, lambda p: (p.t4, p.a ** 4 * p.E(2))),
+    ("ratio.t4_m_scale", "implied structure scale (fourth-sum)", _REPORT,
+     lambda p: (p.a ** 4 * p.E(2), p.t4, "M solving T_4 = |A|^4 E / M")),
+    *((f"ratio.gowers_remark_k{k}", f"uniformity count floor k={k}", _REPORT,
+       lambda p, k=k, x=_remark_exponents(k): (p.U(k), p.E(2) ** x[0] / float(p.a) ** x[1]))
+      for k in (3, 4)),
+    # tiny-scale structural witnesses through the exhaustive oracle
+    _when(lambda p: p.a <= ORACLE_CAP,
+          ("ratio.structural_e3_oracle", "oracle small-doubling witness (third moment)", _REPORT,
+           lambda p: (p.oracle[1], p.a * p.E(2) / p.E(3),
+                      f"witness size {p.oracle[0].card}, M = |A| E / E_3")),
+          ("ratio.structural_t4_oracle", "oracle small-doubling witness (fourth sum)", _REPORT,
+           lambda p: (p.oracle[1], p.a ** 4 * p.E(2) / p.t4,
+                      f"witness size {p.oracle[0].card}, M = |A|^4 E / T_4"))),
+)
+
+_RATIO = (
+    _when(lambda p: not p.a,
+          ("ratio.empty", "ratio report", _REPORT, lambda p: (0, 0, "empty set"))),
+    _when(lambda p: p.a, *_RATIO_ROWS),
+)
+
+
+# ---------------------------------------------------------------------------
+# algorithm audits: construction re-audits disjointness, inclusions, size
+# floors and count bounds
+# ---------------------------------------------------------------------------
+
+
+def _family(p: Profile, fam):
+    return str(fam.count), f">= {fam.provenance['count_bound']:.4f}", True, None, p.name
+
+
+_ALGORITHMS = (
+    ("algo.translates", "greedy translate family", _HOLDS,
+     lambda p: _family(p, greedy_disjoint_translates(p.A, p.A))),
+    ("algo.slices", "greedy slice family", _HOLDS,
+     lambda p: _family(p, greedy_disjoint_slices(p.A, p.D))),
+    ("algo.regular_part", "regular part size", _HOLDS,
+     lambda p: (str(p.regular.card), f">= {p.a}/2", 2 * p.regular.card >= p.a, None, p.name)),
+)
+
+# suite rows in run order; the audits keep their row order, the rest sort by name
+_SUITES = {"identity": _IDENTITY, "inequality": _INEQUALITY, "ratio": _RATIO,
+           "algorithms": _ALGORITHMS}
+
+
+def _run(suite: str, p: Profile) -> list[CheckResult]:
+    out = _evaluate(_SUITES[suite], p)
+    return out if suite == "algorithms" else sorted(out, key=lambda r: r.name)
+
+
+def run_identity_suite(A: GSet, B: GSet | None = None,
+                       config: VerifyConfig | None = None) -> list[CheckResult]:
+    """Exact-equality checks; every entry must pass on a correct build."""
+    return _run("identity", Profile(A, B, config))
+
+
+def run_inequality_suite(A: GSet, B: GSet | None = None,
+                         config: VerifyConfig | None = None) -> list[CheckResult]:
+    """Theorem-backed inequalities; applicable entries must all pass."""
+    return _run("inequality", Profile(A, B, config))
+
+
 def run_ratio_report(A: GSet, config: VerifyConfig | None = None) -> list[CheckResult]:
     """Report-only ratios for bounds with unquantified constants."""
-    out: list[CheckResult] = []
-    a = A.card
-    if a == 0:
-        return [_report("ratio report", "ratio.empty", 0, 0, "empty set")]
-
-    ca = set_correlate(A, A)
-    D = difference_set(A, A)
-    S = sumset(A, A)
-    e2 = int(energy_k(A, 2).value)
-    e3 = int(energy_k(A, 3).value)
-    e4 = int(energy_k(A, 4).value)
-    e3_d = int(energy_k(D, 3).value)
-    K = D.card / a
-    Ke = a ** 3 / e2
-
-    out.append(_report("difference-set third moment vs doubling", "ratio.e3_diffset_74",
-                       e3_d, K ** 1.75 * a ** 4, f"K={K:.6f}"))
-
-    nz = [s for s in np.flatnonzero(ca).tolist() if s != 0]
-    gamma2 = gamma3 = gamma32 = None
-    if a <= GAMMA_CAP:
-        gamma2, _ = connectedness_gamma(A, 2, 0.5)
-        gamma3, _ = connectedness_gamma(A, 3, 0.5)
-        gamma32, _ = connectedness_gamma(A, 1.5, 0.5)
-
-    if nz:
-        omega_m = max(difference_set(A, A.slice1(s)).card for s in nz)
-        omega_p = max(sumset(A, A.slice1(s)).card for s in nz)
-        hyp = e3 >= 2 * a ** 3
-        out.append(_report("max slice difference-sumset cubed", "ratio.max_slice_minus",
-                           omega_m ** 3, a ** 10 / (D.card * e2 ** 2),
-                           f"hypothesis E_3 >= 2|A|^3: {hyp}"))
-        out.append(_report("max slice plus-sumset cubed", "ratio.max_slice_plus",
-                           omega_p ** 3, a ** 10 / (D.card * e2 ** 2),
-                           f"hypothesis E_3 >= 2|A|^3: {hyp}"))
-        if gamma3 is not None:
-            out.append(_report("max slice sumset squared under connectedness",
-                               "ratio.max_slice_conn", max(omega_m, omega_p) ** 2,
-                               gamma3 * a ** 5 / e2, f"gamma(3,1/2)={gamma3:.6f}"))
-
-    cd = set_correlate(D, D)
-    cs_arr = set_correlate(S, S)
-    nzd = [s for s in np.flatnonzero(cd).tolist() if s != 0]
-    max_dx = max((int(cd[s]) for s in nzd), default=0)
-    nzs = [s for s in np.flatnonzero(cs_arr).tolist() if s != 0]
-    max_sx = max((int(cs_arr[s]) for s in nzs), default=0)
-    if gamma3 is not None:
-        denom = math.sqrt(gamma3) * math.sqrt(Ke) * a
-        out.append(_report("largest difference-set slice", "ratio.dx", max_dx, denom,
-                           f"gamma(3,1/2)={gamma3:.6f}, K_E={Ke:.4f}"))
-        out.append(_report("largest sumset slice", "ratio.sx", max_sx, denom, ""))
-    else:
-        out.append(_report("largest difference-set slice", "ratio.dx", max_dx,
-                           math.sqrt(Ke) * a,
-                           "gamma unmeasured (size cap); reported with gamma=1"))
-
-    e3_daa = int(mixed_energy([D, A, A]).value)
-    e3_saa = int(mixed_energy([S, A, A]).value)
-    out.append(_report("mixed difference-set third moment squared",
-                       "ratio.e3_mixed_minus", e3_daa ** 2, a ** 13 / (D.card ** 2 * e2)))
-    out.append(_report("mixed sumset third moment squared",
-                       "ratio.e3_mixed_plus", e3_saa ** 2, a ** 13 / (D.card ** 2 * e2)))
-    if gamma2 is not None:
-        out.append(_report("mixed third moment under connectedness", "ratio.e3_mixed_conn",
-                           e3_daa ** 2, gamma2 * a ** 5 * e2, f"gamma(2,1/2)={gamma2:.6f}"))
-
-    edd3 = _exact_sum(cd[D.members], 3)
-    eds3 = _exact_sum(cs_arr[D.members], 3)
-    best = max(float(D.card) ** 12, a ** 45 / (e2 ** 9 * D.card ** 2))
-    out.append(_report("restricted difference-set third moment to the fourth",
-                       "ratio.ekd3_minus", float(edd3) ** 4, best))
-    out.append(_report("restricted sumset third moment to the fourth",
-                       "ratio.ekd3_plus", float(eds3) ** 4, best))
-    if gamma2 is not None and a >= 2:
-        e32 = float(energy_k(A, 1.5).value)
-        la = math.log2(max(2, a))
-        out.append(_report("restricted third moment, fractional connectedness",
-                           "ratio.ekd3_conn_32", edd3,
-                           gamma32 * a ** (33 / 4) * e32 / (e2 ** (9 / 4) * la),
-                           f"gamma(3/2,1/2)={gamma32:.6f}"))
-        out.append(_report("restricted third moment, quadratic connectedness",
-                           "ratio.ekd3_conn_2", edd3,
-                           gamma2 * a ** (17 / 2) / (e2 ** 1.5 * la),
-                           f"gamma(2,1/2)={gamma2:.6f}"))
-
-    # slice-within-slice mass sums (k = 2), guarded by a pair budget
-    nz0 = [x for x in np.flatnonzero(ca).tolist() if x != 0]
-    est = len(nz0) * D.card * D.card
-    if est <= DK_PAIR_BUDGET:
-        d_sum = s_sum = bound_d = bound_s = 0
-        for x in nz0:
-            w = int(ca[x]) ** 2
-            Dx = D.slice1(x)
-            corr_ddx = set_correlate(D, Dx)
-            d_sum += w * int(corr_ddx[Dx.members].sum())
-            bound_d += w * int(cd[x]) ** 2
-            Sx = S.intersect(S.shift_minus(x))
-            conv_sd = convolve(Sx.indicator(), D.indicator()).values
-            s_sum += w * int(conv_sd[Sx.members].sum())
-            bound_s += w * int(cs_arr[x]) ** 2
-        out.append(_report("slice-within-slice difference mass", "ratio.e4da_minus",
-                           d_sum, a ** 5, f"upper companion {bound_d}"))
-        out.append(_report("slice-within-slice sumset mass", "ratio.e4da_plus",
-                           s_sum, a ** 5, f"upper companion {bound_s}"))
-    else:
-        out.append(_skip("slice-within-slice mass", "ratio.e4da",
-                         f"pair estimate {est} over budget"))
-
-    # self-dual criterion and criticality ratios
-    u3 = gowers_u(A, 3).count
-    out.append(_report("self-dual criterion", "ratio.selfdual", u3 ** 2, e4 * e2))
-    out.append(_report("third-moment criticality", "ratio.critical_e3", e3, a * e2))
-    t4 = t_k(A, 4)
-    out.append(_report("fourth-sum criticality", "ratio.critical_t4", t4, a ** 4 * e2))
-    out.append(_report("implied structure scale (fourth-sum)", "ratio.t4_m_scale",
-                       a ** 4 * e2, t4, "M solving T_4 = |A|^4 E / M"))
-
-    sigma_p = int(sigma_restricted(A, D))
-    if gamma3 is not None:
-        out.append(_report("popular mixed third moment", "ratio.e3paa", e3_daa,
-                           2 ** -9 * math.sqrt(gamma3) * sigma_p ** 5 * e2 / a ** 9,
-                           f"P = A-A, gamma(3,1/2)={gamma3:.6f}"))
-
-    u4 = gowers_u(A, 4).count
-    for k, uk in ((3, u3), (4, u4)):
-        exp_e = (1 << k) - k - 1
-        exp_a = 3 * (1 << k) - 4 * k - 4
-        out.append(_report(f"uniformity count floor k={k}", f"ratio.gowers_remark_k{k}",
-                           uk, e2 ** exp_e / float(a) ** exp_a))
-
-    # tiny-scale structural witnesses through the exhaustive oracle
-    if a <= ORACLE_CAP:
-        w, dbl = small_doubling_subset_oracle(A, 0.5)
-        m3 = a * e2 / e3
-        out.append(_report("oracle small-doubling witness (third moment)",
-                           "ratio.structural_e3_oracle", dbl, m3,
-                           f"witness size {w.card}, M = |A| E / E_3"))
-        m4 = a ** 4 * e2 / t4
-        out.append(_report("oracle small-doubling witness (fourth sum)",
-                           "ratio.structural_t4_oracle", dbl, m4,
-                           f"witness size {w.card}, M = |A|^4 E / T_4"))
-
-    out.sort(key=lambda r: r.name)
-    return out
+    return _run("ratio", Profile(A, None, config))
 
 
 # ---------------------------------------------------------------------------
@@ -645,26 +709,7 @@ def frozen_corpus(seeds: int = 100) -> list[CorpusItem]:
 def run_algorithm_audits(item: CorpusItem) -> list[CheckResult]:
     """Run the greedy algorithms on a corpus instance; construction re-audits
     disjointness, inclusions, size floors, and count bounds."""
-    out: list[CheckResult] = []
-    A = item.A
-    try:
-        fam = greedy_disjoint_translates(A, A)
-        out.append(CheckResult("greedy translate family", "algo.translates",
-                               str(fam.count), f">= {fam.provenance['count_bound']:.4f}",
-                               "pass", None, item.name))
-        fam2 = greedy_disjoint_slices(A, difference_set(A, A))
-        out.append(CheckResult("greedy slice family", "algo.slices",
-                               str(fam2.count), f">= {fam2.provenance['count_bound']:.4f}",
-                               "pass", None, item.name))
-        rp = regular_part(A)
-        ok = 2 * rp.card >= A.card
-        out.append(CheckResult("regular part size", "algo.regular_part",
-                               str(rp.card), f">= {A.card}/2",
-                               "pass" if ok else "fail", None, item.name))
-    except AssertionError as err:
-        out.append(CheckResult("algorithm audit", "algo.audit_failure", "", "",
-                               "fail", None, f"{item.name}: {err}"))
-    return out
+    return _run("algorithms", Profile(item.A, item.B, name=item.name))
 
 
 def random_family_acceptance_instance(seed: int = 7) -> dict:
@@ -679,29 +724,22 @@ def random_family_acceptance_instance(seed: int = 7) -> dict:
 def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
                include_random_family: bool = True) -> dict:
     """Run the identity, inequality, ratio and algorithm suites over the frozen
-    corpus and summarize."""
-    cfg = config or VerifyConfig()
+    corpus, item by item on one profile per item, and summarize."""
     t0 = time.monotonic()
     items = frozen_corpus(seeds)
     failures: list[dict] = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "report": 0}
-    per_suite: dict[str, float] = {}
-    for suite in ("identity", "inequality", "ratio", "algorithms"):
-        ts = time.monotonic()
-        for item in items:
-            if suite == "identity":
-                results = run_identity_suite(item.A, item.B, cfg)
-            elif suite == "inequality":
-                results = run_inequality_suite(item.A, item.B, cfg)
-            elif suite == "ratio":
-                results = run_ratio_report(item.A, cfg)
-            else:
-                results = run_algorithm_audits(item)
+    per_suite = dict.fromkeys(_SUITES, 0.0)
+    for item in items:
+        p = Profile(item.A, item.B, config, item.name)
+        for suite in _SUITES:
+            ts = time.monotonic()
+            results = _run(suite, p)
+            per_suite[suite] += time.monotonic() - ts
             for r in results:
                 counts[r.status] += 1
                 if r.status == "fail":
                     failures.append({"item": item.name, "suite": suite, **r.to_dict()})
-        per_suite[suite] = time.monotonic() - ts
     summary = {
         "items": len(items),
         "counts": counts,

@@ -126,3 +126,23 @@ def test_usage_error_exit_code(golden_file, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["energy", "--set", "/nonexistent.json", "--kind", "E", "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": [7.9], "elements": [1.5, 2]},
+    {"group": [7], "elements": [1.5, 2]},
+    {"group": [7.0], "elements": [1, 2]},
+    {"group": "77", "elements": [1, 2]},
+    {"group": [7], "elements": [True, 2]},
+    {"group": [7], "elements": "12"},
+    {"group": [7], "elements": [1, 2, 2]},
+    {"group": [7]},
+    [[7], [1, 2]],
+], ids=["float-factor-and-elements", "float-element", "float-factor", "string-group",
+        "bool-element", "string-elements", "duplicate-element", "missing-elements",
+        "top-level-list"])
+def test_malformed_set_file_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["energy", "--set", str(path), "--kind", "E", "--k", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

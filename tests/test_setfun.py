@@ -90,6 +90,18 @@ def test_generalized_convolution(triple):
         generalized_convolution([triple, triple], [1, 2])
 
 
+def test_generalized_convolution_past_int64():
+    """f = 2^61 on 0..3 of Z_7: each product of three translates is 2^183, far
+    past int64, and the two nonzero terms (z = 0, 1) give 2^184 exactly."""
+    g = make_group([7])
+    vals = [1 << 61] * 4 + [0] * 3
+    f = DenseFunc(g, np.array(vals, dtype=np.int64))
+    want = sum(vals[z] * vals[(z + 1) % 7] * vals[(z + 2) % 7] for z in range(7))
+    assert want == 1 << 184
+    assert generalized_convolution([f, f, f], [1, 2]) == want
+    assert generalized_convolution([f, f], [3]) == 1 << 122
+
+
 def test_slices(triple):
     assert slice_set(triple, triple, [1]).members.tolist() == [0, 1]
     assert slice_set(triple, triple, [1, 2]).members.tolist() == [0]
@@ -355,3 +367,42 @@ def test_exact_sum_matches_python_ints(v, k, weighted):
     got = _exact_sum(np.array(v, dtype=np.int64), k,
                      None if w is None else np.array(w, dtype=np.int64))
     assert got == _python_sum(v, k, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sets(), st.data())
+def test_set_operands_match_the_set_kernels(drawn, data):
+    """correlate/convolve given sets return set_correlate/set_convolve exactly,
+    values and int64 dtype, on both paths."""
+    factors, amem = drawn
+    N = math.prod(factors)
+    bmem = data.draw(st.lists(st.integers(0, N - 1), max_size=6, unique=True))
+    A, B = gset(factors, amem), gset(factors, bmem)
+
+    def check():
+        for got, want in ((correlate(A, B).values, set_correlate(A, B)),
+                          (convolve(A, B).values, set_convolve(A, B))):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    on_both_paths(check)
+
+
+def test_set_operands_reach_the_kernel_as_masks(monkeypatch):
+    """A set enters _conv_exact as its boolean mask with its cached members, so
+    two sets take the unit-weight path; a function enters as its values."""
+    seen = []
+    kernel = setfun._conv_exact
+
+    def spy(group, a, b, sign, sa=None, sb=None):
+        seen.append((a.dtype, b.dtype, sa, sb))
+        return kernel(group, a, b, sign, sa, sb)
+
+    monkeypatch.setattr(setfun, "_conv_exact", spy)
+    g = make_group([2] * 6)
+    A, B = random_set(g, 0.3, 1), random_set(g, 0.3, 2)
+    correlate(A, B)
+    convolve(A.indicator(), B)
+    (da, db, sa, sb), (fa, fb, fsa, fsb) = seen
+    assert da == db == bool and sa is A.members and sb is B.members
+    assert fa == np.int64 and fsa is None and fb == bool and fsb is B.members

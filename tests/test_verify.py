@@ -1,14 +1,18 @@
+import gc
+import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import energylab.verify as verify
 from energylab.constructors import (arithmetic_progression, golden_hplusl, random_set,
                                     subspace)
 from energylab.energy import energy_k, t_k
 from energylab.group import make_group
 from energylab.setfun import GSet, difference_set, sumset
-from energylab.verify import (CheckResult, VerifyConfig, frozen_corpus,
+from energylab.verify import (CheckResult, Profile, VerifyConfig, frozen_corpus,
                               random_family_acceptance_instance, results_to_json,
                               run_algorithm_audits, run_identity_suite,
                               run_inequality_suite, run_ratio_report)
@@ -172,3 +176,59 @@ def test_algorithm_audits_on_corpus_sample():
 def test_random_family_acceptance_instance():
     out = random_family_acceptance_instance(seed=7)
     assert out["count"] >= out["bound"]
+
+
+# sha256 over repr((item, suite, name, tag, lhs, rhs, status)) of every CheckResult,
+# suite-major, over frozen_corpus(2) with all four suites; the same recipe over
+# frozen_corpus(100) gives ddc867f3b00feebf91fd4a6c9b5136fa3060e2f1b2c8b2db42894f22c1381dae
+CORPUS2_DIGEST = "a903a90ef062a0f246afdc585df1673997c4f45ac24401ceaa81d16068206c5f"
+
+
+def test_frozen_corpus_results_are_pinned():
+    items = frozen_corpus(seeds=2)
+    cfg = VerifyConfig()
+    suites = (("identity", lambda it: run_identity_suite(it.A, it.B, cfg)),
+              ("inequality", lambda it: run_inequality_suite(it.A, it.B, cfg)),
+              ("ratio", lambda it: run_ratio_report(it.A, cfg)),
+              ("algorithms", run_algorithm_audits))
+    h = hashlib.sha256()
+    rows = 0
+    for suite, run in suites:
+        for it in items:
+            for r in run(it):
+                h.update(repr((it.name, suite, r.name, r.tag, r.lhs, r.rhs, r.status)).encode())
+                rows += 1
+    assert rows == 1232
+    assert h.hexdigest() == CORPUS2_DIGEST
+
+
+def test_profile_holds_each_entry(monkeypatch):
+    """An entry is computed once per profile, however many checks read it."""
+    calls = []
+    real = verify.energy_k
+
+    def counting(A, k=2):
+        calls.append(k)
+        return real(A, k)
+
+    monkeypatch.setattr(verify, "energy_k", counting)
+    p = Profile(golden_hplusl())
+    assert p.E(3) == p.E(3) == int(energy_k(golden_hplusl(), 3).value)
+    assert p.D is p.D
+    run_inequality_suite(golden_hplusl())
+    assert calls.count(3) == 2  # one per profile: p above, and the suite's own
+
+
+def test_profile_is_freed_without_the_cycle_collector():
+    """No profile entry refers back to the profile, so its arrays go as soon as
+    a suite returns rather than waiting for a garbage-collection pass."""
+    p = Profile(golden_hplusl(), None, None, "hplusl")
+    for suite in ("identity", "inequality", "ratio", "algorithms"):
+        verify._run(suite, p)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -10,6 +10,14 @@ computes its escalation bound once.  The one float path here is
 `convolve_via_fourier`, built on the transform of `group`; it is only compared
 against, never trusted.
 
+Per-shift quantities (|A -+ A_s| over all s, the slice-within-slice masses)
+run on the row-batched mode of that kernel, `_rows_exact`: a boolean table of
+slices (`SliceRows`, one slice per row) against one fixed operand b, reduced
+per row to a nonzero count or a sum over the row's own members, a chunk of
+rows at a time.  A chunk takes a float32 matrix product while its largest row
+times max|b| is below 2^24, so that every partial sum is an exact integer, and
+one `_conv_exact` per row otherwise.
+
 A set is a boolean membership array over the group's indices; that is its only
 representation.  The tuple-indexed counts, and the uniformity counts of
 `gowers`, run on one level-synchronous slice frontier (`_Frontier`): each level
@@ -346,6 +354,91 @@ def set_convolve(A: GSet, B: GSet) -> np.ndarray:
     """(A * B) as an int64 array: (A * B)(x) = #{(a, b) in A x B : a + b = x}."""
     group = _same_group("set_convolve", A, B)
     return _conv_exact(group, A.mask, B.mask, +1, A.members, B.members)
+
+
+# -- the row-batched kernel ----------------------------------------------------------
+
+# Integers of magnitude at most 2^24 are exact in float32.
+FLOAT32_EXACT_BOUND = 1 << 24
+# table cells (rows x columns) that the row kernel holds at once, per table
+ROW_CHUNK_CELLS = 1 << 16
+
+
+class SliceRows:
+    """The table of slices P cap (Q - s), one boolean row per shift s, built a
+    chunk of rows at a time: it has len() and row slicing, like an array."""
+
+    def __init__(self, P: GSet, Q: GSet, shifts: np.ndarray):
+        _same_group("SliceRows", P, Q)
+        self.P, self.Q = P, Q
+        self.shifts = np.asarray(shifts, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.shifts.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        g = self.P.group
+        # row j, column y: y in P and y + s_j in Q
+        return self.P.mask & self.Q.mask[g.add_indices(g.index_range[None, :],
+                                                       self.shifts[rows, None])]
+
+
+def _rows_exact(group: GroupSpec, X, b: np.ndarray, sign: int, own: bool) -> np.ndarray:
+    """Per-row reductions of _conv_exact(group, X[i], b, sign) over a boolean table X.
+
+    The reduction is the number of nonzero entries, or with `own` the sum of the
+    entries at the row's own members (sum over y, v in X[i] of b(v -+ y)).  X is
+    an array or a `SliceRows`; b is an integer array (boolean for a set).  Rows
+    are read ROW_CHUNK_CELLS cells at a time and reduced chunk by chunk, so no
+    full (rows x N) result is ever held.  With m the largest row of a chunk:
+    - float32 route: the chunk times M[y, c] = b(c - y) (sign +1) or b(c + y)
+      (sign -1), y over the columns the chunk uses and c over those (own) or all
+      of [0, N), M built a column block at a time; taken only while
+      m |b|_max < FLOAT32_EXACT_BOUND, so every partial sum is an integer of at
+      most 24 bits and exact: no rounding step is needed;
+    - otherwise one _conv_exact per row (Python integers past int64).
+    The result is int64, or Python integers where a row's value needs them."""
+    sb = np.flatnonzero(b)
+    if not sb.size:
+        return np.zeros(len(X), dtype=np.int64)
+    max_b = 1 if b.dtype == bool else _max_abs(b[sb])
+    step = max(1, ROW_CHUNK_CELLS // group.size)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(X), step):
+        chunk = X[lo:lo + step]
+        exact32 = int(chunk.sum(axis=1).max()) * max_b < FLOAT32_EXACT_BOUND
+        parts.append((_rows_gemm if exact32 else _rows_each)(group, chunk, b, sb, sign, own))
+    out = np.concatenate(parts)
+    return out.astype(np.int64) if out.dtype == object and _max_abs(out) < INT64_SAFE_BOUND else out
+
+
+def _rows_gemm(group, chunk, b, sb, sign, own) -> np.ndarray:
+    used = np.flatnonzero(chunk.any(axis=0))
+    cols = used if own else group.index_range
+    xb = chunk[:, used]
+    xf = xb.astype(np.float32)
+    bf = b.astype(np.float32)
+    width = max(1, ROW_CHUNK_CELLS // max(used.size, chunk.shape[0]))
+    out = np.zeros(chunk.shape[0], dtype=np.int64)
+    for lo in range(0, cols.size, width):
+        c = cols[lo:lo + width]
+        idx = group.sub_indices(c[None, :], used[:, None]) if sign > 0 else \
+            group.add_indices(used[:, None], c[None, :])
+        prod = xf @ bf[idx]
+        if own:
+            out += (prod.astype(np.int64) * xb[:, lo:lo + width]).sum(axis=1)
+        else:
+            out += np.count_nonzero(prod, axis=1)
+    return out
+
+
+def _rows_each(group, chunk, b, sb, sign, own) -> np.ndarray:
+    out = []
+    for row in chunk:
+        sa = np.flatnonzero(row)
+        v = _conv_exact(group, row, b, sign, sa, sb)
+        out.append(int(v[sa].sum()) if own else int(np.count_nonzero(v)))
+    return np.array(out, dtype=object)
 
 
 def convolve_via_fourier(f, g) -> np.ndarray:

@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import WeightKernel, energy_k, pair_energy
-from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, _exact_sum, convolve, correlate,
-                     difference_set, set_convolve, set_correlate)
+from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, SliceRows, _exact_sum, _rows_exact,
+                     convolve, correlate, difference_set, set_convolve, set_correlate)
 
 SUBSET_SEARCH_CAP = 22
 ORACLE_CAP = 18
@@ -197,12 +197,10 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
     if any(ca[s] == 0 for s in D.members.tolist()):
         raise PreconditionError("D must sit inside A - A (every slice nonempty)")
 
-    diff_masks: dict[int, np.ndarray] = {}
+    # |A - A_s| is the nonzero count of A_s o A; a mask is built only for a picked s
     diff_sizes = np.zeros(A.group.size, dtype=np.int64)
-    for s in D.members.tolist():
-        dset = difference_set(A, A.slice1(s))
-        diff_masks[s] = dset.mask
-        diff_sizes[s] = dset.card
+    diff_sizes[D.members] = _rows_exact(A.group, SliceRows(A, A, D.members), A.mask, -1,
+                                        own=False)
     sigma = int(diff_sizes.sum())
 
     surviving = D.mask.copy()
@@ -212,7 +210,7 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
         # argmin returns the first minimum, i.e. ties go to the smallest index
         best_s = int(np.argmin(np.where(surviving, diff_sizes, np.iinfo(np.int64).max)))
         members.append((best_s, A.slice1(best_s)))
-        surviving &= ~diff_masks[best_s]
+        surviving &= ~difference_set(A, A.slice1(best_s)).mask
 
     bound = D.card * D.card / (4.0 * sigma)
     fam = DisjointFamily(

@@ -14,7 +14,13 @@ counts, the per-shift |A -+ A_s| table, ...) are computed on first use and then
 held, and the two routes of an identity never share one.  `_evaluate` turns rows
 into CheckResults, a failed hypothesis or a BudgetError into a skip.  `run_corpus`
 runs all suites of an item on one profile, so `per_suite_seconds` charges a
-shared entry to the first suite that reads it.
+shared entry to the first suite that reads it, and counts skips by tag.
+
+The per-shift entries (|A -+ A_s| for every s, the slice-within-slice masses
+behind ratio.e4da, the two-shift slice sum) take all their slices at once on
+the row kernel `setfun._rows_exact` (a float32 product, exact below 2^24, or
+one exact convolution per row), never a Python loop over shifts; the
+other side of each identity stays on `energy_k`/`energy_pair_k`.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ from .energy import (energy_k, energy_pair_k, mixed_energy, pair_energy,
                      pair_energy_spectrum, sigma_restricted, t2_of_dual_square, t_k)
 from .gowers import gowers_pair_u3, gowers_u
 from .group import complex_correlate, fourier_array, make_group
-from .setfun import (BudgetError, DenseFunc, GSet, _exact_sum, convolve, correlate,
-                     count_nonempty_slice_tuples, delta_pairs_direct, delta_sumset_size,
-                     difference_set, katz_koester_check, set_correlate, sumset,
-                     tuple_sumset_sum)
+from .setfun import (BudgetError, DenseFunc, GSet, SliceRows, _exact_sum, _rows_exact,
+                     correlate, count_nonempty_slice_tuples, delta_pairs_direct,
+                     delta_sumset_size, difference_set, katz_koester_check, set_correlate,
+                     sumset, tuple_sumset_sum)
 from .structure import (ORACLE_CAP, connectedness_gamma, greedy_disjoint_slices,
                         greedy_disjoint_translates, random_disjoint_family,
                         regular_part, small_doubling_subset_oracle)
@@ -49,9 +55,10 @@ ORACLE_ROUND_TOL = 1e-6
 FLOAT_REL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
-    """One verification record; lhs/rhs are decimal strings (exact when integer)."""
+    """One verification record; lhs/rhs are decimal strings (exact when integer).
+    Slotted: a corpus run makes tens of thousands of them."""
 
     name: str
     tag: str
@@ -72,7 +79,6 @@ class CheckResult:
 # caps keeping exhaustive sub-searches inside a desk-scale time budget
 NODE_BUDGET = 3_000_000
 GAMMA_CAP = 18
-DK_PAIR_BUDGET = 20_000_000
 EIGEN_TRIALS = 50
 
 
@@ -173,10 +179,13 @@ class Profile:
 
 
 def _slice_sumsets(p: Profile) -> dict[int, tuple[int, int]]:
-    """s -> (|A - A_s|, |A + A_s|) over the shifts with A_s nonempty."""
+    """s -> (|A - A_s|, |A + A_s|) over the shifts with A_s nonempty: the nonzero
+    counts of A_s o A and A_s * A, all rows A_s at once on the row kernel."""
     A = p.A
-    return {s: (difference_set(A, A.slice1(s)).card, sumset(A, A.slice1(s)).card)
-            for s in np.flatnonzero(p.ca).tolist()}
+    shifts = np.flatnonzero(p.ca)
+    rows = SliceRows(A, A, shifts)
+    minus, plus = (_rows_exact(A.group, rows, A.mask, sign, own=False) for sign in (-1, +1))
+    return dict(zip(shifts.tolist(), zip(minus.tolist(), plus.tolist())))
 
 
 def _slice_moments(p: Profile) -> tuple[int, np.ndarray]:
@@ -193,18 +202,16 @@ def _slice_moments(p: Profile) -> tuple[int, np.ndarray]:
 
 def _e4da(p: Profile) -> tuple[int, int, int, int]:
     """(d_sum, bound_d, s_sum, bound_s): the slice-within-slice masses and their
-    upper companions, weighted by (A o A)(x)^2 over the nonzero shifts x."""
+    upper companions, weighted by (A o A)(x)^2 over the nonzero shifts x.  The
+    mass of a slice X = D_x or S_x is sum over y in X of (X * D)(y), the number
+    of pairs (y, v) in X^2 with v - y in D, on the row kernel over all x at once."""
     D, S = p.D, p.S
-    d_sum = s_sum = bound_d = bound_s = 0
-    for x in p.nz:
-        w = int(p.ca[x]) ** 2
-        Dx = D.slice1(x)
-        d_sum += w * int(set_correlate(D, Dx)[Dx.members].sum())
-        bound_d += w * int(p.cd[x]) ** 2
-        Sx = S.intersect(S.shift_minus(x))
-        s_sum += w * int(convolve(Sx, D).values[Sx.members].sum())
-        bound_s += w * int(p.cs[x]) ** 2
-    return d_sum, bound_d, s_sum, bound_s
+    nz = np.array(p.nz, dtype=np.int64)
+    w = p.ca[nz]
+    d_mass, s_mass = (_rows_exact(D.group, SliceRows(X, X, nz), D.mask, +1, own=True)
+                      for X in (D, S))
+    return (_exact_sum(w, 2, d_mass), _exact_sum(np.stack([w, p.cd[nz]]), 2),
+            _exact_sum(w, 2, s_mass), _exact_sum(np.stack([w, p.cs[nz]]), 2))
 
 
 def _seeded_trials(p: Profile) -> tuple[int, int, bool]:
@@ -316,9 +323,11 @@ def _indicator_spectrum(p: Profile):
 
 
 def _two_shift_sum(p: Profile) -> int:
+    """sum over x of E(W_x, B), W_x = A cap (B - x): E(W, B) is the sum over v in W
+    of (W * (B o B))(v), so B o B is taken once and all W_x run on the row kernel."""
     A, B = p.A, p.B
-    return sum(pair_energy(A.intersect(B.shift_minus(x1)), B)
-               for x1 in np.flatnonzero(set_correlate(A, B)).tolist())
+    rows = SliceRows(A, B, np.flatnonzero(set_correlate(A, B)))
+    return _exact_sum(_rows_exact(A.group, rows, set_correlate(B, B), +1, own=True))
 
 
 _IDENTITY = (
@@ -523,11 +532,6 @@ def _restricted_third(p: Profile, corr: np.ndarray):
     return float(_moment(p, corr, 3)) ** 4, best
 
 
-def _e4da_guard(p: Profile) -> bool:
-    est = len(p.nz) * p.D.card * p.D.card
-    return _need(est <= DK_PAIR_BUDGET, f"pair estimate {est} over budget")
-
-
 _RATIO_ROWS = (
     ("ratio.e3_diffset_74", "difference-set third moment vs doubling", _REPORT,
      lambda p: (int(energy_k(p.D, 3).value), (p.D.card / p.a) ** 1.75 * p.a ** 4,
@@ -577,13 +581,11 @@ _RATIO_ROWS = (
      lambda p: _restricted_third(p, p.cd)),
     ("ratio.ekd3_plus", "restricted sumset third moment to the fourth", _REPORT,
      lambda p: _restricted_third(p, p.cs)),
-    # slice-within-slice mass sums (k = 2), guarded by a pair budget
-    ("ratio.e4da", "slice-within-slice mass", (
-        ("ratio.e4da_minus", "slice-within-slice difference mass", _REPORT,
-         lambda p: (p.e4da[0], p.a ** 5, f"upper companion {p.e4da[1]}")),
-        ("ratio.e4da_plus", "slice-within-slice sumset mass", _REPORT,
-         lambda p: (p.e4da[2], p.a ** 5, f"upper companion {p.e4da[3]}")),
-    ), _e4da_guard),
+    # slice-within-slice mass sums (k = 2)
+    ("ratio.e4da_minus", "slice-within-slice difference mass", _REPORT,
+     lambda p: (p.e4da[0], p.a ** 5, f"upper companion {p.e4da[1]}")),
+    ("ratio.e4da_plus", "slice-within-slice sumset mass", _REPORT,
+     lambda p: (p.e4da[2], p.a ** 5, f"upper companion {p.e4da[3]}")),
     # self-dual criterion and criticality ratios
     ("ratio.selfdual", "self-dual criterion", _REPORT, lambda p: (p.U(3) ** 2, p.E(4) * p.E(2))),
     ("ratio.critical_e3", "third-moment criticality", _REPORT, lambda p: (p.E(3), p.a * p.E(2))),
@@ -730,6 +732,7 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
     failures: list[dict] = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "report": 0}
     per_suite = dict.fromkeys(_SUITES, 0.0)
+    skips: dict[str, int] = {}
     for item in items:
         p = Profile(item.A, item.B, config, item.name)
         for suite in _SUITES:
@@ -738,6 +741,8 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
             per_suite[suite] += time.monotonic() - ts
             for r in results:
                 counts[r.status] += 1
+                if r.status == "skip":
+                    skips[r.tag] = skips.get(r.tag, 0) + 1
                 if r.status == "fail":
                     failures.append({"item": item.name, "suite": suite, **r.to_dict()})
     summary = {
@@ -746,6 +751,7 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
         "failures": failures,
         "seconds": time.monotonic() - t0,
         "per_suite_seconds": per_suite,
+        "skips_by_tag": skips,
     }
     if include_random_family:
         summary["random_family"] = random_family_acceptance_instance()

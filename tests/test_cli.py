@@ -113,6 +113,8 @@ def test_corpus_command(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["counts"]["fail"] == 0
     assert summary["items"] == 10 + 4
+    assert not any(tag.startswith("ratio.e4da") for tag in summary["skips_by_tag"])
+    assert sum(summary["skips_by_tag"].values()) == summary["counts"]["skip"]
 
 
 def test_usage_error_exit_code(golden_file, capsys):

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import energylab.setfun as setfun
 from conftest import (brute_convolve, brute_correlate, brute_delta_count, gset)
 from energylab.constructors import random_set, subspace
 from energylab.group import make_group
-from energylab.setfun import (INT64_SAFE_BOUND, BudgetError, DenseFunc, GSet, _exact_sum,
+from energylab.setfun import (FLOAT32_EXACT_BOUND, INT64_SAFE_BOUND, BudgetError, DenseFunc,
+                              GSet, SliceRows, _conv_exact, _exact_sum, _rows_exact,
                               convolve, convolve_via_fourier, correlate,
                               count_nonempty_slice_tuples, delta_sumset_size,
                               difference_set, generalized_convolution,
@@ -406,3 +408,152 @@ def test_set_operands_reach_the_kernel_as_masks(monkeypatch):
     (da, db, sa, sb), (fa, fb, fsa, fsb) = seen
     assert da == db == bool and sa is A.members and sb is B.members
     assert fa == np.int64 and fsa is None and fb == bool and fsb is B.members
+
+
+# -- the row-batched kernel -------------------------------------------------------
+#
+# _rows_exact reduces _conv_exact(X[i], b, sign) row by row: the nonzero count, or
+# the sum at the row's own members.  Each comparison forces one route: the float32
+# route (as shipped) or one _conv_exact per row (float32 bound 0), the latter on
+# both paths of _conv_exact, with chunks of a few cells so that rows cross chunk
+# boundaries and column blocks do not divide N.
+
+ROUTES = {"gemm": ("gemm", {}),
+          "each": ("each", {"FLOAT32_EXACT_BOUND": 0}),
+          "each-roll": ("each", {"FLOAT32_EXACT_BOUND": 0, "PAIR_PATH_LIMIT": 0})}
+
+
+@contextlib.contextmanager
+def row_route(route, cells=setfun.ROW_CHUNK_CELLS):
+    """Run _rows_exact on one route only, ROW_CHUNK_CELLS set to cells; yields the
+    list of the row helpers that ran."""
+    names = {**ROUTES[route][1], "ROW_CHUNK_CELLS": cells}
+    saved = {name: getattr(setfun, name) for name in names}
+    taken = []
+    helpers = {f"_rows_{r}": getattr(setfun, f"_rows_{r}") for r in ("gemm", "each")}
+
+    def spy(name):
+        def call(*args):
+            taken.append(name[len("_rows_"):])
+            return helpers[name](*args)
+        return call
+
+    try:
+        for name, value in {**names, **{name: spy(name) for name in helpers}}.items():
+            setattr(setfun, name, value)
+        yield taken
+    finally:
+        for name, value in {**saved, **helpers}.items():
+            setattr(setfun, name, value)
+
+
+def per_row(group, X, b, sign, own):
+    """The reductions from one _conv_exact per row."""
+    sb = np.flatnonzero(b)
+    out = []
+    for row in X:
+        sa = np.flatnonzero(row)
+        v = _conv_exact(group, row, b, sign, sa, sb)
+        out.append(int(v[sa].sum()) if own else int(np.count_nonzero(v)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FACTORS), st.data())
+def test_row_kernel_matches_per_row_convolutions(factors, data):
+    N = math.prod(factors)
+    g = make_group(list(factors))
+    member_lists = st.lists(st.integers(0, N - 1), max_size=N, unique=True)
+    rows = data.draw(st.lists(member_lists, max_size=9))
+    X = np.zeros((len(rows), N), dtype=bool)
+    for i, members in enumerate(rows):
+        X[i, members] = True
+    unit = np.zeros(N, dtype=bool)
+    unit[data.draw(member_lists)] = True
+    signed = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=N, max_size=N)),
+                      dtype=np.int64)
+    cells = data.draw(st.integers(1, 3 * N))
+    for b in (unit, signed):
+        for sign in (+1, -1):
+            for own in (False, True):
+                want = per_row(g, X, b, sign, own)
+                for route in ROUTES:
+                    with row_route(route, cells) as taken:
+                        got = _rows_exact(g, X, b, sign, own)
+                    assert got.dtype == np.int64 and got.tolist() == want
+                    assert set(taken) <= {ROUTES[route][0]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sets(), st.data())
+def test_slice_rows_are_the_slices(drawn, data):
+    factors, pmem = drawn
+    N = math.prod(factors)
+    P = gset(factors, pmem)
+    Q = gset(factors, data.draw(st.lists(st.integers(0, N - 1), max_size=6, unique=True)))
+    shifts = data.draw(st.lists(st.integers(0, N - 1), max_size=8))
+    rows = SliceRows(P, Q, shifts)
+    want = [(P & Q.shift_minus(s)).mask for s in shifts]
+    assert len(rows) == len(shifts)
+    assert np.array_equal(rows[0:len(rows)], np.array(want, dtype=bool).reshape(-1, N))
+    # a table of slices reduces exactly as its array does
+    with row_route("gemm", 2 * N):
+        assert _rows_exact(P.group, rows, Q.mask, -1, False).tolist() == \
+            per_row(P.group, np.array(want, dtype=bool).reshape(-1, N), Q.mask, -1, False)
+
+
+@pytest.mark.parametrize("size, top, route", [
+    (4, (1 << 22) - 1, "gemm"),     # 4 (2^22 - 1) < 2^24: every partial sum is exact in float32
+    (4, 1 << 22, "each"),           # 4 * 2^22 = 2^24: no float32
+    (1, 1 << 24, "each"),
+    (2, 1 << 61, "each"),           # past int64: Python integers
+])
+def test_float32_route_stops_at_the_exactness_bound(size, top, route):
+    """max row size * max|b| < FLOAT32_EXACT_BOUND admits the float32 route, and
+    nothing at or over it; the values stay exact either way."""
+    g = make_group([3, 3, 2])
+    X = np.zeros((3, g.size), dtype=bool)
+    X[0, :size] = True
+    X[1, 5:5 + size] = True
+    b = np.array([top, top - 1, -top, top, 0, 7] * 3, dtype=np.int64)
+    assert (size * top < FLOAT32_EXACT_BOUND) == (route == "gemm")
+    for sign in (+1, -1):
+        for own in (False, True):
+            with row_route("gemm") as taken:
+                got = _rows_exact(g, X, b, sign, own)
+            assert set(taken) == {route}
+            assert got.tolist() == per_row(g, X, b, sign, own)
+
+
+def test_route_is_chosen_per_chunk():
+    """With one row per chunk, a row at the bound takes _conv_exact and a smaller
+    row the float32 route; the values join into one int64 result."""
+    g = make_group([3, 3, 2])
+    X = np.zeros((2, g.size), dtype=bool)
+    X[0, :4] = True
+    X[1, 7] = True
+    b = np.array([1 << 22, 3, -(1 << 22), 0, 5, 1] * 3, dtype=np.int64)
+    for sign in (+1, -1):
+        for own in (False, True):
+            with row_route("gemm", g.size) as taken:
+                got = _rows_exact(g, X, b, sign, own)
+            assert taken == ["each", "gemm"]
+            assert got.dtype == np.int64 and got.tolist() == per_row(g, X, b, sign, own)
+
+
+def test_slice_masses_stay_in_bounded_memory():
+    """The slice-within-slice masses of an F_2^10 corpus item (412 shifts) run in
+    row chunks: the kernel's peak heap stays under 8 MB."""
+    from energylab.verify import Profile, _e4da
+
+    p = Profile(random_set(make_group([2] * 10), 0.030, 0))
+    for entry in ("ca", "D", "S", "cd", "cs", "nz"):
+        getattr(p, entry)
+    assert len(p.nz) > 400
+    tracemalloc.start()
+    try:
+        _e4da(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

@@ -180,8 +180,15 @@ def test_random_family_acceptance_instance():
 
 # sha256 over repr((item, suite, name, tag, lhs, rhs, status)) of every CheckResult,
 # suite-major, over frozen_corpus(2) with all four suites; the same recipe over
-# frozen_corpus(100) gives ddc867f3b00feebf91fd4a6c9b5136fa3060e2f1b2c8b2db42894f22c1381dae
-CORPUS2_DIGEST = "a903a90ef062a0f246afdc585df1673997c4f45ac24401ceaa81d16068206c5f"
+# frozen_corpus(100) gives 13f4f3764c2e99b3438d50247cf46e32099de2079c7552296f06ddf94874ebc1
+CORPUS2_DIGEST = "737387c030f05576c8e8ff81e0e4f1f303cdff9a18264b90e87cc0821c7d7290"
+# the same hash over every row but the ratio.e4da* rows of the items where a pair
+# budget once skipped ratio.e4da, computed while that budget was in place: no other
+# row, the e4da reports of the other items included, has moved.  Over
+# frozen_corpus(100), leaving out the rows of its 87 such items, it is
+# 60c993a6f44d36905dbae4a9273e607a5b3ef7323dc632a3890209546b3dac4a (27,172 rows).
+E4DA_ONCE_SKIPPED = ("f2_10_seed0", "f2_10_seed1")
+CORPUS2_DIGEST_KEPT = "3defb2699c1ff7f4562d048fc93e5179884e73ddc0a94297a8ac3eeca35b4ebd"
 
 
 def test_frozen_corpus_results_are_pinned():
@@ -191,14 +198,18 @@ def test_frozen_corpus_results_are_pinned():
               ("inequality", lambda it: run_inequality_suite(it.A, it.B, cfg)),
               ("ratio", lambda it: run_ratio_report(it.A, cfg)),
               ("algorithms", run_algorithm_audits))
-    h = hashlib.sha256()
+    h, kept = hashlib.sha256(), hashlib.sha256()
     rows = 0
     for suite, run in suites:
         for it in items:
             for r in run(it):
-                h.update(repr((it.name, suite, r.name, r.tag, r.lhs, r.rhs, r.status)).encode())
+                key = repr((it.name, suite, r.name, r.tag, r.lhs, r.rhs, r.status)).encode()
+                h.update(key)
+                if not (it.name in E4DA_ONCE_SKIPPED and r.tag.startswith("ratio.e4da")):
+                    kept.update(key)
                 rows += 1
-    assert rows == 1232
+    assert rows == 1234
+    assert kept.hexdigest() == CORPUS2_DIGEST_KEPT
     assert h.hexdigest() == CORPUS2_DIGEST
 
 

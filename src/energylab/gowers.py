@@ -21,6 +21,7 @@ import numpy as np
 from .setfun import GSet, _exact_sum, _Frontier, set_correlate
 
 GOWERS_MAX_ORDER = 6
+MONOTONICITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,14 @@ def gowers_normalized(A: GSet, d: int) -> float:
     return gowers_u(A, d).normalized
 
 
-def gowers_normalized_monotonicity(A: GSet, d: int, slack: float = 1e-12) -> bool:
+def gowers_normalized_monotonicity(A: GSet, d: int) -> bool:
     """True iff the normalized order-(d-1) value is <= the order-d value.
 
-    Holds for every set; False signals a computation bug.  `slack` absorbs
-    floating-point rounding in the 2^d-th roots.
+    Holds for every set; False signals a computation bug.  MONOTONICITY_SLACK
+    absorbs floating-point rounding in the 2^d-th roots.
     """
     if d < 2:
         raise ValueError("monotonicity comparison needs d >= 2")
     lo = gowers_u(A, d - 1).normalized
     hi = gowers_u(A, d).normalized
-    return lo <= hi * (1.0 + slack) + slack
+    return lo <= hi * (1.0 + MONOTONICITY_SLACK) + MONOTONICITY_SLACK

@@ -152,14 +152,14 @@ class GroupSpec:
         return "x".join(f"Z{n}" for n in self.factors)
 
 
-def make_group(factors: Sequence[int] | Iterable[int], max_size: int | None = None) -> GroupSpec:
+def make_group(factors: Sequence[int] | Iterable[int]) -> GroupSpec:
     """Build a GroupSpec from cyclic factor orders, enforcing the size cap."""
     fs = tuple(int(n) for n in factors)
     if not fs:
         raise ValueError("factor list must be nonempty")
     if any(n < 2 for n in fs):
         raise ValueError("every cyclic factor must be >= 2")
-    cap = max_group_size() if max_size is None else max_size
+    cap = max_group_size()
     prod = 1
     for n in fs:
         prod *= n

@@ -10,13 +10,13 @@ computes its escalation bound once.  The one float path here is
 `convolve_via_fourier`, built on the transform of `group`; it is only compared
 against, never trusted.
 
-Per-shift quantities (|A -+ A_s| over all s, the slice-within-slice masses)
-run on the row-batched mode of that kernel, `_rows_exact`: a boolean table of
-slices (`SliceRows`, one slice per row) against one fixed operand b, reduced
-per row to a nonzero count or a sum over the row's own members, a chunk of
-rows at a time.  A chunk takes a float32 matrix product while its largest row
-times max|b| is below 2^24, so that every partial sum is an exact integer, and
-one `_conv_exact` per row otherwise.
+Families of convolutions against one fixed operand b (|A -+ A_s| over all s,
+E(A, f) over seeded f) run on the row-batched mode of that kernel, `_rows_exact`:
+one slice (`SliceRows`) or integer function per row, reduced per row to a nonzero
+count or a sum weighted by the row's own values, a chunk of rows at a time.  A
+chunk takes a float32 matrix product while its largest sum |X[i]| times max|b| is
+below 2^24, so every partial sum is an exact integer, and one `_conv_exact` per
+row otherwise.  A slice table's Gram matrix (`SliceRows.gram`) counts rows: exact in float32.
 
 A set is a boolean membership array over the group's indices; that is its only
 representation.  The tuple-indexed counts, and the uniformity counts of
@@ -47,7 +47,7 @@ class BudgetError(RuntimeError):
 class GSet:
     """A subset of a group: flat boolean membership array plus cached cardinality."""
 
-    __slots__ = ("group", "mask", "_card", "_members", "_slice1", "_bytes")
+    __slots__ = ("group", "mask", "_card", "_members", "_bytes")
 
     def __init__(self, group: GroupSpec, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool).reshape(group.size)
@@ -56,7 +56,6 @@ class GSet:
         self.mask.setflags(write=False)
         self._card: int | None = None
         self._members: np.ndarray | None = None
-        self._slice1: dict[int, "GSet"] = {}
         self._bytes: bytes | None = None
 
     # -- constructors ---------------------------------------------------------
@@ -148,12 +147,8 @@ class GSet:
     __or__ = union
 
     def slice1(self, s: int) -> "GSet":
-        """A cap (A - s), cached per shift."""
-        got = self._slice1.get(s)
-        if got is None:
-            got = GSet(self.group, self.mask & self.shift_minus(s).mask)
-            self._slice1[s] = got
-        return got
+        """A cap (A - s)."""
+        return GSet(self.group, self.mask & self._roll(int(self.group.neg_perm[s])))
 
     # -- serialization ------------------------------------------------------------
 
@@ -161,7 +156,7 @@ class GSet:
         return {"group": list(self.group.factors), "elements": self.members.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict, max_size: int | None = None) -> "GSet":
+    def from_dict(cls, d: dict) -> "GSet":
         """The set of a set file {"group": [n, ...], "elements": [x, ...]}.  Both
         must be lists of integers (no floats, strings or booleans) and no element
         may repeat; anything else raises ValueError rather than being coerced."""
@@ -174,8 +169,7 @@ class GSet:
                 raise ValueError(f'"{key}" must be a list of integers')
         if len(set(d["elements"])) != len(d["elements"]):
             raise ValueError("a set element is repeated")
-        g = make_group(d["group"], max_size=max_size)
-        return cls.from_indices(g, d["elements"])
+        return cls.from_indices(make_group(d["group"]), d["elements"])
 
     def indicator(self) -> "DenseFunc":
         return DenseFunc(self.group, self.mask.astype(np.int64))
@@ -266,13 +260,6 @@ def _roll_array(group: GroupSpec, arr: np.ndarray, b: int) -> np.ndarray:
     return arr[group.shift_perm(int(b))]
 
 
-def _as_exact_dtype(arr: np.ndarray, big: bool) -> np.ndarray:
-    """arr as int64 (kept boolean for unit weights), or as Python integers when big."""
-    if big:
-        return np.array([int(v) for v in arr.tolist()], dtype=object)
-    return arr if arr.dtype == bool else arr.astype(np.int64, copy=False)
-
-
 def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
                 sa: np.ndarray | None = None, sb: np.ndarray | None = None) -> np.ndarray:
     """The exact kernel behind every convolution and correlation.
@@ -296,9 +283,9 @@ def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
     big = min(sum_a * max_b, sum_b * max_a) >= INT64_SAFE_BOUND
 
     if not big and sa.size * sb.size <= PAIR_PATH_LIMIT:
-        xs = np.repeat(sa, sb.size)
-        ys = np.tile(sb, sa.size)
-        idx = group.add_indices(xs, ys) if sign > 0 else group.sub_indices(ys, xs)
+        # key of the pair (sa[i], sb[j]) at flat position i * |sb| + j
+        idx = (group.add_indices(sa[:, None], sb[None, :]) if sign > 0
+               else group.sub_indices(sb[None, :], sa[:, None])).reshape(-1)
         if unit_a and unit_b:
             return np.bincount(idx, minlength=group.size)
         w = (a[sa].astype(np.int64)[:, None] * b[sb].astype(np.int64)[None, :]).reshape(-1)
@@ -306,22 +293,22 @@ def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
         np.add.at(out, idx, w)
         return out
 
-    # roll path over the sparser support; a unit weight adds its translate unscaled
+    # roll path over the sparser support, made a's by a swap: a * b = b * a and
+    # (a o b)(x) = (b o a)(-x); a unit weight adds its translate unscaled
+    swap = sa.size > sb.size
+    if swap:
+        a, b, sa, unit_a = b, a, sb, unit_b
     out = np.zeros(group.size, dtype=object if big else np.int64)
-    if sa.size <= sb.size:
-        bb = _as_exact_dtype(b, big)
-        for y in sa.tolist():
-            # a(y) contributes a(y)*b(x-y) resp. a(y)*b(y+x) = a(y)*roll(b, -y)(x)
-            shifted = _roll_array(group, bb, y if sign > 0 else int(group.neg_perm[y]))
-            out += shifted if unit_a else int(a[y]) * shifted
+    # b as Python integers when big, else int64 (kept boolean for unit weights)
+    if big:
+        bb = np.array([int(v) for v in b.tolist()], dtype=object)
     else:
-        aa = _as_exact_dtype(a, big)
-        ar = aa if sign > 0 else aa[group.neg_perm]
-        for z in sb.tolist():
-            # b(z) contributes b(z)*a(x-z) resp. sum_y a(y) b(y+x): y = z-x, so b(z)*a(z-x)
-            shifted = _roll_array(group, ar, z)
-            out += shifted if unit_b else int(b[z]) * shifted
-    return out
+        bb = b if b.dtype == bool else b.astype(np.int64, copy=False)
+    for y in sa.tolist():
+        # a(y) contributes a(y)*b(x-y) resp. a(y)*b(y+x) = a(y)*roll(b, -y)(x)
+        shifted = _roll_array(group, bb, y if sign > 0 else int(group.neg_perm[y]))
+        out += shifted if unit_a else int(a[y]) * shifted
+    return out[group.neg_perm] if swap and sign < 0 else out
 
 
 def _same_group(name: str, f, g) -> GroupSpec:
@@ -382,15 +369,30 @@ class SliceRows:
         return self.P.mask & self.Q.mask[g.add_indices(g.index_range[None, :],
                                                        self.shifts[rows, None])]
 
+    def gram(self) -> np.ndarray:
+        """G[i, j] = #{s : p_i, p_j in P cap (Q - s)} over the members p_i of P (int64),
+        one float32 product per chunk of max(ROW_CHUNK_CELLS / |P|, |P|) rows: an
+        entry counts at most a chunk's rows, fewer than 2^24, so each is exact."""
+        g, cols = self.P.group, self.P.members
+        G = np.zeros((cols.size, cols.size), dtype=np.int64)
+        step = max(ROW_CHUNK_CELLS // max(cols.size, 1), cols.size, 1)
+        for lo in range(0, len(self), step):
+            # row j, column i: p_i + s_j in Q
+            rows = g.add_indices(cols[None, :], self.shifts[lo:lo + step, None])
+            xf = self.Q.mask[rows].astype(np.float32)
+            G += (xf.T @ xf).astype(np.int64)
+        return G
+
 
 def _rows_exact(group: GroupSpec, X, b: np.ndarray, sign: int, own: bool) -> np.ndarray:
-    """Per-row reductions of _conv_exact(group, X[i], b, sign) over a boolean table X.
+    """Per-row reductions of _conv_exact(group, X[i], b, sign) over a table X.
 
-    The reduction is the number of nonzero entries, or with `own` the sum of the
-    entries at the row's own members (sum over y, v in X[i] of b(v -+ y)).  X is
-    an array or a `SliceRows`; b is an integer array (boolean for a set).  Rows
-    are read ROW_CHUNK_CELLS cells at a time and reduced chunk by chunk, so no
-    full (rows x N) result is ever held.  With m the largest row of a chunk:
+    The reduction is the number of nonzero entries, or with `own` their sum
+    weighted by the row's values (for a set row, sum over y, v in X[i] of b(v -+ y)).
+    X is a boolean or integer array, or a `SliceRows`; b is an integer array
+    (boolean for a set).  Rows are read ROW_CHUNK_CELLS cells at a time and reduced
+    chunk by chunk, so no full (rows x N) result is ever held.  With m the largest
+    sum_v |X[i](v)| of a chunk:
     - float32 route: the chunk times M[y, c] = b(c - y) (sign +1) or b(c + y)
       (sign -1), y over the columns the chunk uses and c over those (own) or all
       of [0, N), M built a column block at a time; taken only while
@@ -406,7 +408,8 @@ def _rows_exact(group: GroupSpec, X, b: np.ndarray, sign: int, own: bool) -> np.
     parts = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(X), step):
         chunk = X[lo:lo + step]
-        exact32 = int(chunk.sum(axis=1).max()) * max_b < FLOAT32_EXACT_BOUND
+        # m in float64, which cannot wrap and is exact wherever it decides the bound
+        exact32 = int(np.abs(chunk, dtype=np.float64).sum(axis=1).max()) * max_b < FLOAT32_EXACT_BOUND
         parts.append((_rows_gemm if exact32 else _rows_each)(group, chunk, b, sb, sign, own))
     out = np.concatenate(parts)
     return out.astype(np.int64) if out.dtype == object and _max_abs(out) < INT64_SAFE_BOUND else out
@@ -437,7 +440,7 @@ def _rows_each(group, chunk, b, sb, sign, own) -> np.ndarray:
     for row in chunk:
         sa = np.flatnonzero(row)
         v = _conv_exact(group, row, b, sign, sa, sb)
-        out.append(int(v[sa].sum()) if own else int(np.count_nonzero(v)))
+        out.append(_exact_sum(v[sa], 1, row[sa]) if own else int(np.count_nonzero(v)))
     return np.array(out, dtype=object)
 
 
@@ -702,18 +705,6 @@ class _Frontier:
         return total
 
 
-def _sumset_tuple_total(A: GSet, arity: int, sign: str, budget: int | None) -> int:
-    if arity < 0:
-        raise ValueError("arity must be >= 0")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if not A.card:
-        return 0
-    frontier = _Frontier(A, arity, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
-    g = A.group
-    return frontier.total(g.sub_indices if sign == "-" else g.add_indices, square=False, tick=False)
-
-
 def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) -> int:
     """|{(s_1..s_arity) : A cap (A-s_1) ... cap (A-s_arity) nonempty}|.
 
@@ -741,7 +732,7 @@ def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> 
         raise ValueError("n must be >= 2")
     if not A.card:
         return 0
-    ident = _sumset_tuple_total(A, n - 1, sign, budget)
+    ident = tuple_sumset_sum(A, n - 1, sign, budget)
     if n == 2:
         direct = delta_pairs_direct(A, sign)
         if direct != ident:
@@ -769,7 +760,15 @@ def delta_pairs_direct(A: GSet, sign: str) -> int:
 
 def tuple_sumset_sum(A: GSet, arity: int, sign: str, budget: int | None = None) -> int:
     """sum over nonempty arity-tuples of |A -+ A_tuple| (the identity-path summand)."""
-    return _sumset_tuple_total(A, arity, sign, budget)
+    if arity < 0:
+        raise ValueError("arity must be >= 0")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if not A.card:
+        return 0
+    frontier = _Frontier(A, arity, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
+    g = A.group
+    return frontier.total(g.sub_indices if sign == "-" else g.add_indices, square=False, tick=False)
 
 
 # -- inclusion checks -----------------------------------------------------------

@@ -210,7 +210,7 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
         # argmin returns the first minimum, i.e. ties go to the smallest index
         best_s = int(np.argmin(np.where(surviving, diff_sizes, np.iinfo(np.int64).max)))
         members.append((best_s, A.slice1(best_s)))
-        surviving &= ~difference_set(A, A.slice1(best_s)).mask
+        surviving &= ~difference_set(A, members[-1][1]).mask
 
     bound = D.card * D.card / (4.0 * sigma)
     fam = DisjointFamily(
@@ -226,8 +226,7 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
     return fam
 
 
-def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int,
-                           max_retries: int = RANDOM_FAMILY_RETRIES) -> DisjointFamily:
+def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int) -> DisjointFamily:
     """Seeded probabilistic disjointification of a family with bounded sizes.
 
     Requires delta <= |M_j| <= C*delta and overlap mass sigma = sum_{i,j} |M_i cap M_j|
@@ -254,7 +253,7 @@ def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int,
     keep_floor = delta / (8.0 * C + 4.0)
     target = t * t * delta / ((32.0 * C + 16.0) * sigma)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for attempt in range(max_retries):
+    for attempt in range(RANDOM_FAMILY_RETRIES):
         chosen = np.flatnonzero(rng.random(t) < p)
         union = np.zeros(g.size, dtype=bool)
         members: list[tuple[object, GSet]] = []
@@ -275,13 +274,13 @@ def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int,
                     "p": p,
                     "sigma": sigma,
                     "count_bound": target,
-                    "max_retries": max_retries,
+                    "max_retries": RANDOM_FAMILY_RETRIES,
                 },
             )
             fam.audit(inside=lambda i: Ms[int(i)])
             return fam
     raise RuntimeError(
-        f"random_disjoint_family: {max_retries} seeded attempts all fell short of {target:.3f}")
+        f"random_disjoint_family: {RANDOM_FAMILY_RETRIES} seeded attempts all fell short of {target:.3f}")
 
 
 def regular_part(A: GSet) -> GSet:

@@ -16,11 +16,11 @@ into CheckResults, a failed hypothesis or a BudgetError into a skip.  `run_corpu
 runs all suites of an item on one profile, so `per_suite_seconds` charges a
 shared entry to the first suite that reads it, and counts skips by tag.
 
-The per-shift entries (|A -+ A_s| for every s, the slice-within-slice masses
-behind ratio.e4da, the two-shift slice sum) take all their slices at once on
-the row kernel `setfun._rows_exact` (a float32 product, exact below 2^24, or
-one exact convolution per row), never a Python loop over shifts; the
-other side of each identity stays on `energy_k`/`energy_pair_k`.
+The per-shift and per-trial entries (|A -+ A_s|, the slice masses of ratio.e4da,
+the two-shift sum, the seeded trials E(A, f)) run each family at once on the row
+kernel `setfun._rows_exact`, and sum_s A_s o A_s comes off the slice table's Gram
+matrix, never a correlation per shift or trial; the other side of each identity
+stays on `energy_k`/`energy_pair_k`.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .energy import (energy_k, energy_pair_k, mixed_energy, pair_energy,
                      pair_energy_spectrum, sigma_restricted, t2_of_dual_square, t_k)
 from .gowers import gowers_pair_u3, gowers_u
 from .group import complex_correlate, fourier_array, make_group
-from .setfun import (BudgetError, DenseFunc, GSet, SliceRows, _exact_sum, _rows_exact,
-                     correlate, count_nonempty_slice_tuples, delta_pairs_direct,
-                     delta_sumset_size, difference_set, katz_koester_check, set_correlate,
-                     sumset, tuple_sumset_sum)
+from .setfun import (BudgetError, GSet, SliceRows, _exact_sum, _rows_exact,
+                     count_nonempty_slice_tuples, delta_pairs_direct, delta_sumset_size,
+                     difference_set, katz_koester_check, set_correlate, sumset,
+                     tuple_sumset_sum)
 from .structure import (ORACLE_CAP, connectedness_gamma, greedy_disjoint_slices,
                         greedy_disjoint_translates, random_disjoint_family,
                         regular_part, small_doubling_subset_oracle)
@@ -77,7 +77,6 @@ class CheckResult:
 
 
 # caps keeping exhaustive sub-searches inside a desk-scale time budget
-NODE_BUDGET = 3_000_000
 GAMMA_CAP = 18
 EIGEN_TRIALS = 50
 
@@ -189,15 +188,14 @@ def _slice_sumsets(p: Profile) -> dict[int, tuple[int, int]]:
 
 
 def _slice_moments(p: Profile) -> tuple[int, np.ndarray]:
-    """(sum_s <A o A, A_s o A_s>, sum_s A_s o A_s) over the shifts with A_s nonempty."""
-    A = p.A
-    total = 0
-    acc = np.zeros(A.group.size, dtype=np.int64)
-    for s in np.flatnonzero(p.ca).tolist():
-        cs = set_correlate(A.slice1(s), A.slice1(s))
-        total += int(np.dot(p.ca, cs))
-        acc += cs
-    return total, acc
+    """(sum_s <A o A, A_s o A_s>, sum_s A_s o A_s) over the shifts with A_s nonempty.
+    With G[i, j] = #{s : a_i, a_j in A_s}, the Gram matrix of the slice table over
+    A's members a_i, sum_s (A_s o A_s)(x) is the sum of G[i, j] over a_j - a_i = x."""
+    A, g = p.A, p.A.group
+    G = SliceRows(A, A, np.flatnonzero(p.ca)).gram()
+    acc = np.zeros(g.size, dtype=np.int64)
+    np.add.at(acc, g.sub_indices(A.members[None, :], A.members[:, None]), G)
+    return _exact_sum(p.ca, 1, acc), acc
 
 
 def _e4da(p: Profile) -> tuple[int, int, int, int]:
@@ -214,38 +212,40 @@ def _e4da(p: Profile) -> tuple[int, int, int, int]:
             _exact_sum(w, 2, s_mass), _exact_sum(np.stack([w, p.cs[nz]]), 2))
 
 
-def _seeded_trials(p: Profile) -> tuple[int, int, bool]:
-    """(worst_a, worst_ap, kk_ok), drawn in this order from the generator seeded
-    by (seed, A): the last violation (0 for none; a violation is positive) of the
-    operator bounds over EIGEN_TRIALS random functions on A and on its regular
-    part Ap, then the inclusion checks on the empty tuple and four seeded tuples."""
+def _trial_draws(p: Profile) -> tuple[tuple[list, list], tuple[list, list], list]:
+    """((E(A, f), |f|^2) over f on A, the same over f on its regular part Ap, four
+    shift tuples), drawn from the generator seeded by (seed, A): EIGEN_TRIALS times
+    f in {-3..3} minus 0 on A, then on Ap, then the tuples.  E(A, f) is
+    sum_v f(v) (f * (A o A))(v), one row-kernel call per table of functions."""
     A, g = p.A, p.A.group
     rng = np.random.Generator(np.random.Philox(key=[p.seed, zlib.crc32(A.key())]))
-    Ap = p.regular
+    sets = (A, p.regular)
+    tables = [np.zeros((EIGEN_TRIALS, g.size), dtype=np.int8) for _ in sets]
+    for t in range(EIGEN_TRIALS):
+        for X, F in zip(sets, tables):
+            vals = rng.integers(-3, 4, size=X.card)
+            vals[vals == 0] = 1
+            F[t, X.members] = vals
+    tuples = [[int(s) for s in rng.choice(p.D.members, size=int(rng.integers(1, 3)))]
+              for _ in range(4)]
+    on_a, on_ap = ((_rows_exact(g, F, p.ca, +1, own=True).tolist(),
+                    np.square(F, dtype=np.int64).sum(axis=1).tolist()) for F in tables)
+    return on_a, on_ap, tuples
 
-    def trial(X: GSet) -> tuple[int, int]:
-        """(E(A, f), |f|^2) for f random in {-3..3} minus 0 on X."""
-        vals = rng.integers(-3, 4, size=X.card)
-        vals[vals == 0] = 1
-        f = np.zeros(g.size, dtype=np.int64)
-        f[X.members] = vals
-        corr = correlate(DenseFunc(g, f), DenseFunc(g, f)).values
-        return int(np.dot(p.ca, corr)), int(np.dot(f, f))
 
+def _seeded_trials(p: Profile) -> tuple[int, int, bool]:
+    """(worst_a, worst_ap, kk_ok) over `_trial_draws`: the last violation (0 for none)
+    of the operator bound on A and on Ap, then the inclusion checks on the empty
+    tuple and the drawn tuples."""
+    (e_a, norm_a), (e_ap, norm_ap), tuples = _trial_draws(p)
     worst_a = worst_ap = 0
-    for _ in range(EIGEN_TRIALS):
-        e_af, norm2 = trial(A)
-        if e_af > 0 and e_af ** 2 > p.E(3) * norm2 ** 2:
-            worst_a = e_af
-        e_afp, norm2p = trial(Ap)
-        if e_afp * p.a > 2 * p.E(2) * norm2p:
-            worst_ap = e_afp
-    kk_ok = katz_koester_check(A, [])
-    for _ in range(4):
-        arity = int(rng.integers(1, 3))
-        shifts = [int(s) for s in rng.choice(p.D.members, size=arity)]
-        kk_ok = kk_ok and katz_koester_check(A, shifts)
-    return worst_a, worst_ap, kk_ok
+    for e, n in zip(e_a, norm_a):
+        if e > 0 and e ** 2 > p.E(3) * n ** 2:
+            worst_a = e
+    for e, n in zip(e_ap, norm_ap):
+        if e * p.a > 2 * p.E(2) * n:
+            worst_ap = e
+    return worst_a, worst_ap, all(katz_koester_check(p.A, t) for t in [[], *tuples])
 
 
 # profile entries: name -> the call that computes it; E(k), U(d) and gamma(alpha)
@@ -265,7 +265,7 @@ _ENTRIES = {
     "e3_daa": lambda p: int(mixed_energy([p.D, p.A, p.A]).value),
     "e_ab": lambda p: pair_energy(p.A, p.B),
     "t4": lambda p: t_k(p.A, 4),
-    "plus_pairs": lambda p: delta_sumset_size(p.A, 2, "+", budget=NODE_BUDGET),
+    "plus_pairs": lambda p: delta_sumset_size(p.A, 2, "+"),
     "regular": lambda p: regular_part(p.A),
     "oracle": lambda p: small_doubling_subset_oracle(p.A, 0.5),
     "slice_sumsets": _slice_sumsets,
@@ -337,8 +337,7 @@ _IDENTITY = (
      lambda p: (_exact_sum(p.slice_moments[1], 2), p.E(4))),
     # the direct distinct-pair sweep against the per-shift slice-sumset sum
     *((f"identity.delta_{word}_paths", f"pair tuple count, sign {sign}: direct vs shift sum", _EQ,
-       lambda p, sign=sign: (delta_pairs_direct(p.A, sign),
-                             tuple_sumset_sum(p.A, 1, sign, budget=NODE_BUDGET)))
+       lambda p, sign=sign: (delta_pairs_direct(p.A, sign), tuple_sumset_sum(p.A, 1, sign)))
       for sign, word in (("-", "minus"), ("+", "plus"))),
     ("identity.pair_energy_spectrum", "pair energy: exact vs transform after rounding", _HOLDS,
      _spectrum_pair_energy),
@@ -411,7 +410,7 @@ def _chain(p: Profile, corr: np.ndarray, k: int, mid: int, low: int, note: str =
 
 
 def _chain_minus(p: Profile, k: int):
-    mid = count_nonempty_slice_tuples(p.A, k + 1, budget=NODE_BUDGET)
+    mid = count_nonempty_slice_tuples(p.A, k + 1)
     return _chain(p, p.cd, k, mid, p.D.card * p.a ** k, f"middle tuple count {mid}")
 
 

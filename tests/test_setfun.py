@@ -448,13 +448,14 @@ def row_route(route, cells=setfun.ROW_CHUNK_CELLS):
 
 
 def per_row(group, X, b, sign, own):
-    """The reductions from one _conv_exact per row."""
+    """The reductions from one _conv_exact per row; `own` weights each entry by the
+    row's value there."""
     sb = np.flatnonzero(b)
     out = []
     for row in X:
         sa = np.flatnonzero(row)
         v = _conv_exact(group, row, b, sign, sa, sb)
-        out.append(int(v[sa].sum()) if own else int(np.count_nonzero(v)))
+        out.append(sum(int(v[y]) * int(row[y]) for y in sa) if own else int(np.count_nonzero(v)))
     return out
 
 
@@ -470,18 +471,23 @@ def test_row_kernel_matches_per_row_convolutions(factors, data):
         X[i, members] = True
     unit = np.zeros(N, dtype=bool)
     unit[data.draw(member_lists)] = True
-    signed = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=N, max_size=N)),
-                      dtype=np.int64)
+    signed_values = st.lists(st.integers(-6, 6), min_size=N, max_size=N)
+    signed = np.array(data.draw(signed_values), dtype=np.int64)
+    # an integer-valued table of the same rows, every third row empty
+    W = np.array(data.draw(st.lists(signed_values, min_size=len(rows), max_size=len(rows))),
+                 dtype=np.int64).reshape(-1, N)
+    W[::3] = 0
     cells = data.draw(st.integers(1, 3 * N))
-    for b in (unit, signed):
-        for sign in (+1, -1):
-            for own in (False, True):
-                want = per_row(g, X, b, sign, own)
-                for route in ROUTES:
-                    with row_route(route, cells) as taken:
-                        got = _rows_exact(g, X, b, sign, own)
-                    assert got.dtype == np.int64 and got.tolist() == want
-                    assert set(taken) <= {ROUTES[route][0]}
+    for table in (X, W):
+        for b in (unit, signed):
+            for sign in (+1, -1):
+                for own in (False, True):
+                    want = per_row(g, table, b, sign, own)
+                    for route in ROUTES:
+                        with row_route(route, cells) as taken:
+                            got = _rows_exact(g, table, b, sign, own)
+                        assert got.dtype == np.int64 and got.tolist() == want
+                        assert set(taken) <= {ROUTES[route][0]}
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,6 +506,24 @@ def test_slice_rows_are_the_slices(drawn, data):
     with row_route("gemm", 2 * N):
         assert _rows_exact(P.group, rows, Q.mask, -1, False).tolist() == \
             per_row(P.group, np.array(want, dtype=bool).reshape(-1, N), Q.mask, -1, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sets(), st.data())
+def test_slice_table_gram_counts_shared_slices(drawn, data):
+    """G[i, j] is the number of slices holding both p_i and p_j: the Gram matrix of
+    the full table on P's members, also when its rows come a few at a time."""
+    factors, pmem = drawn
+    N = math.prod(factors)
+    P = gset(factors, pmem)
+    Q = gset(factors, data.draw(st.lists(st.integers(0, N - 1), max_size=6, unique=True)))
+    rows = SliceRows(P, Q, data.draw(st.lists(st.integers(0, N - 1), max_size=8)))
+    X = rows[0:len(rows)].astype(np.int64)[:, P.members]
+    want = [[sum(int(x[i] * x[j]) for x in X) for j in range(P.card)] for i in range(P.card)]
+    for cells in (setfun.ROW_CHUNK_CELLS, 1):
+        with row_route("gemm", cells):
+            got = rows.gram()
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("size, top, route", [
@@ -525,6 +549,26 @@ def test_float32_route_stops_at_the_exactness_bound(size, top, route):
             assert got.tolist() == per_row(g, X, b, sign, own)
 
 
+@pytest.mark.parametrize("mass, route", [(4, "gemm"), (5, "each")])
+def test_integer_rows_are_bounded_by_their_absolute_mass(mass, route):
+    """An integer row enters the float32 bound as sum_v |X[i](v)|, not as its
+    member count or its signed sum: with max|b| = 2^22 - 1, mass 4 stays under
+    2^24 and mass 5 does not, on one member or on several of either sign."""
+    g = make_group([3, 3, 2])
+    W = np.zeros((3, g.size), dtype=np.int64)
+    W[0, 2] = -mass
+    W[1, 5:5 + mass] = np.resize([-1, 1], mass)
+    W[2, [0, 9]] = [mass - 1, -1]
+    top = (1 << 22) - 1
+    b = np.array([top, 3, -top, 0, 5, 1] * 3, dtype=np.int64)
+    for sign in (+1, -1):
+        for own in (False, True):
+            with row_route("gemm") as taken:
+                got = _rows_exact(g, W, b, sign, own)
+            assert set(taken) == {route}
+            assert got.tolist() == per_row(g, W, b, sign, own)
+
+
 def test_route_is_chosen_per_chunk():
     """With one row per chunk, a row at the bound takes _conv_exact and a smaller
     row the float32 route; the values join into one int64 result."""
@@ -542,18 +586,20 @@ def test_route_is_chosen_per_chunk():
 
 
 def test_slice_masses_stay_in_bounded_memory():
-    """The slice-within-slice masses of an F_2^10 corpus item (412 shifts) run in
-    row chunks: the kernel's peak heap stays under 8 MB."""
-    from energylab.verify import Profile, _e4da
+    """The slice-within-slice masses, the slice moments and the seeded trials of an
+    F_2^10 corpus item (412 shifts) run in row chunks: the peak heap of each stays
+    under 8 MB."""
+    from energylab.verify import Profile, _e4da, _seeded_trials, _slice_moments
 
     p = Profile(random_set(make_group([2] * 10), 0.030, 0))
-    for entry in ("ca", "D", "S", "cd", "cs", "nz"):
+    for entry in ("ca", "D", "S", "cd", "cs", "nz", "regular"):
         getattr(p, entry)
     assert len(p.nz) > 400
-    tracemalloc.start()
-    try:
-        _e4da(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
+    for entry in (_e4da, _slice_moments, _seeded_trials):
+        tracemalloc.start()
+        try:
+            entry(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, entry.__name__

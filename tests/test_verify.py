@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from energylab.constructors import (arithmetic_progression, golden_hplusl, rando
                                     subspace)
 from energylab.energy import energy_k, t_k
 from energylab.group import make_group
-from energylab.setfun import GSet, difference_set, sumset
+from energylab.setfun import (DenseFunc, GSet, correlate, difference_set, set_correlate,
+                              sumset)
+from energylab.structure import regular_part
 from energylab.verify import (CheckResult, Profile, VerifyConfig, frozen_corpus,
                               random_family_acceptance_instance, results_to_json,
                               run_algorithm_audits, run_identity_suite,
@@ -243,3 +246,38 @@ def test_profile_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["golden_z7", "hplusl_8_3_5", "z101_seed1", "f2_10_seed2"])
+def test_seeded_trials_keep_their_draws(name):
+    """The seeded trials against a replay of their generator on the reference
+    route, one correlation per drawn function: the same E(A, f) and |f|^2 per
+    trial, in the same draw order, and the same four tuples."""
+    item = next(i for i in frozen_corpus(3) if i.name == name)
+    p = Profile(item.A, item.B, VerifyConfig(seed=5))
+    A, g = item.A, item.A.group
+    rng = np.random.Generator(np.random.Philox(key=[5, zlib.crc32(A.key())]))
+    Ap = regular_part(A)
+    ca = set_correlate(A, A)
+
+    def trial(X):
+        vals = rng.integers(-3, 4, size=X.card)
+        vals[vals == 0] = 1
+        f = np.zeros(g.size, dtype=np.int64)
+        f[X.members] = vals
+        corr = correlate(DenseFunc(g, f), DenseFunc(g, f)).values
+        return int(np.dot(ca, corr)), int(np.dot(f, f))
+
+    on_a, on_ap = [], []
+    for _ in range(verify.EIGEN_TRIALS):
+        on_a.append(trial(A))
+        on_ap.append(trial(Ap))
+    D = difference_set(A, A)
+    tuples = []
+    for _ in range(4):
+        arity = int(rng.integers(1, 3))
+        tuples.append([int(s) for s in rng.choice(D.members, size=arity)])
+    got_a, got_ap, got_tuples = verify._trial_draws(p)
+    assert list(zip(*got_a)) == on_a
+    assert list(zip(*got_ap)) == on_ap
+    assert got_tuples == tuples

@@ -40,24 +40,20 @@ def save_json(payload, path: str | None) -> None:
         print(text)
 
 
+# the InstanceSpec parameters of each construct kind, read off the parsed options
+_CONSTRUCT_PARAMS = {
+    "subspace": lambda a: {"n": a.n, "dim": a.dim},
+    "dissociated": lambda a: {"n": a.n, "k": a.k},
+    "hplusl": lambda a: {"n": a.n, "dim": a.dim, "K": a.k},
+    "ap": lambda a: {"N": a.modulus, "start": a.start, "step": a.step, "length": a.length},
+    "random": lambda a: {"group": parse_group(a.group).factors, "density": a.density},
+    "cosetUnion": lambda a: {"n": a.n, "dims": [int(d) for d in a.blocks.split(",")]},
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "subspace":
-        A = constructors.subspace(args.n, args.dim)
-    elif kind == "dissociated":
-        g = constructors.boolean_group(args.n)
-        A = GSet.from_indices(g, [constructors.basis_vector(args.n, j) for j in range(args.k)])
-    elif kind == "hplusl":
-        A = constructors.h_plus_lambda(args.n, args.dim, args.k)
-    elif kind == "ap":
-        A = constructors.arithmetic_progression(args.modulus, args.start, args.step, args.length)
-    elif kind == "random":
-        A = constructors.random_set(parse_group(args.group), args.density, args.seed)
-    elif kind == "cosetUnion":
-        A = constructors.coset_union(args.n, [int(d) for d in args.blocks.split(",")])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
-    save_json(A.to_dict(), args.out)
+    spec = constructors.InstanceSpec(args.kind, _CONSTRUCT_PARAMS[args.kind](args), args.seed)
+    save_json(spec.build().to_dict(), args.out)
     return 0
 
 
@@ -182,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="generate an instance and write it as JSON")
-    c.add_argument("--kind", required=True,
-                   choices=["subspace", "dissociated", "hplusl", "ap", "random", "cosetUnion"])
+    c.add_argument("--kind", required=True, choices=list(_CONSTRUCT_PARAMS))
     c.add_argument("--n", type=int, default=8, help="boolean rank for subspace/hplusl/cosetUnion")
     c.add_argument("--dim", type=int, default=0)
     c.add_argument("--k", type=int, default=1, help="piece count for hplusl/dissociated")

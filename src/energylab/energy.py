@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .group import GroupSpec, fourier_array
-from .setfun import DenseFunc, GSet, _exact_sum, as_func, convolve, correlate, set_correlate
+from .setfun import (DenseFunc, GSet, _exact_sum, _operand, _same_group, convolve, correlate,
+                     set_correlate)
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,6 @@ def _power_sum(values: np.ndarray, k) -> tuple[object, bool]:
     return math.fsum(vals), False
 
 
-def _check_same_group(*sets) -> GroupSpec:
-    g = sets[0].group
-    for s in sets[1:]:
-        if s.group != g:
-            raise ValueError("group mismatch")
-    return g
-
-
 def energy_k(A: GSet, k: float = 2) -> EnergyValue:
     """E_k(A) = sum_x (A o A)(x)^k; E_1(A) = |A|^2 exactly."""
     if k < 1:
@@ -66,7 +59,7 @@ def energy_pair_k(A: GSet, B: GSet, k: float = 2) -> EnergyValue:
     """E_k(A,B) = sum_x (A o A)(x) (B o B)(x)^(k-1)."""
     if k < 1:
         raise ValueError("energy exponent must be >= 1")
-    _check_same_group(A, B)
+    _same_group("energy_pair_k", A, B)
     ca = set_correlate(A, A)
     cb = set_correlate(B, B)
     if float(k) == int(k):
@@ -85,8 +78,8 @@ def mixed_energy(fs: Sequence) -> EnergyValue:
     """E(f_1,...,f_k) = sum_x prod_i (f_i o f_i)(x), exact for integer inputs."""
     if len(fs) < 2:
         raise ValueError("mixed energy needs at least two functions")
+    _same_group("mixed_energy", *fs)
     corrs = np.stack([correlate(f, f).values for f in fs])
-    _check_same_group(*fs)
     return EnergyValue(_exact_sum(corrs), float(len(fs)), "mixed", True)
 
 
@@ -94,7 +87,7 @@ def t_energy(As: Sequence[GSet]) -> EnergyValue:
     """T_k(A_1,...,A_k) = sum_x (A_1 * ... * A_k)(x)^2, exact."""
     if len(As) < 2:
         raise ValueError("T energy needs at least two sets")
-    _check_same_group(*As)
+    _same_group("t_energy", *As)
     conv = As[0]
     for B in As[1:]:
         conv = convolve(conv, B)
@@ -116,14 +109,14 @@ def t_k_spectrum(A: GSet, k: int) -> float:
 
 def sigma_restricted(A: GSet, P: GSet) -> int:
     """sigma_P(A) = sum_{x in P} (A o A)(x); arbitrary P, missing support contributes 0."""
-    _check_same_group(A, P)
+    _same_group("sigma_restricted", A, P)
     ca = set_correlate(A, A)
     return int(ca[P.members].sum()) if P.card else 0
 
 
 def restricted_energy(A: GSet, P: GSet, k: float = 2) -> EnergyValue:
     """E^P_k(A) = sum_{s in P} |A_s|^k."""
-    _check_same_group(A, P)
+    _same_group("restricted_energy", A, P)
     ca = set_correlate(A, A)
     masked = np.zeros_like(ca)
     if P.card:
@@ -200,13 +193,11 @@ class WeightKernel:
             arr = self.difference
             if arr.dtype.kind in "iu":
                 # sum_y B(y) w(x-y) = (B * w)(x)
-                return convolve(DenseFunc(self.group, B.mask.astype(np.int64)),
-                                DenseFunc(self.group, arr.astype(np.int64))).values
-            from .setfun import _roll_array
-
+                return convolve(B, DenseFunc(self.group, arr.astype(np.int64))).values
+            w = arr.astype(np.float64)
             out = np.zeros(self.group.size, dtype=np.float64)
             for y in B.members.tolist():
-                out += _roll_array(self.group, arr.astype(np.float64), y)
+                out += w[self.group.shift_perm(y)]
             return out
         return self.matrix[:, B.members].sum(axis=1) if B.card else np.zeros(self.group.size)
 
@@ -214,7 +205,7 @@ class WeightKernel:
         """E_q(A,B) = sum_{x,y} q(x,y) A(x) B(y); exact int for integer kernels."""
         if B is None:
             B = A
-        _check_same_group(A, B)
+        _same_group("WeightKernel.energy", A, B)
         if self.difference is not None:
             arr = self.difference
             cba = set_correlate(B, A)  # (B o A)(z) = #{(x,y) in A x B : x - y = z}
@@ -248,14 +239,13 @@ def gowers_box_kernel(group: GroupSpec, f, d: int) -> WeightKernel:
 
     d=2 reduces to the difference kernel (f o f)(y-x).  Supported for d in {2, 3}.
     """
-    func = as_func(f)
     if d == 2:
-        w = correlate(func, func).values
+        w = correlate(f, f).values
         return WeightKernel.from_difference(group, w, psd=True, name="box-d2")
     if d != 3:
         raise ValueError("box kernel implemented for d in {2, 3}")
     n = group.size
-    vals = func.values.astype(np.int64)
+    vals = _operand(f)[0].astype(np.int64)
     mat = np.zeros((n, n), dtype=np.float64)
     idx = np.arange(n, dtype=np.int64)
     for h1 in range(n):
@@ -280,7 +270,7 @@ def wiener_norm(A: GSet) -> float:
 
 def pair_energy_spectrum(A: GSet, B: GSet) -> float:
     """N^{-1} sum |Ahat|^2 |Bhat|^2; equals E(A,B) after rounding."""
-    _check_same_group(A, B)
+    _same_group("pair_energy_spectrum", A, B)
     fa = np.abs(fourier_array(A.group, A.mask.astype(np.float64))) ** 2
     fb = np.abs(fourier_array(B.group, B.mask.astype(np.float64))) ** 2
     return float(np.dot(fa, fb)) / A.group.size

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import GSet, _exact_sum, _Frontier, set_correlate
+from .setfun import GSet, _exact_sum, _Frontier, _same_group, set_correlate
 
 GOWERS_MAX_ORDER = 6
 MONOTONICITY_SLACK = 1e-12
@@ -31,12 +31,16 @@ class GowersValue:
     normalized: float
 
 
-def gowers_u(A: GSet, d: int) -> GowersValue:
-    """Unnormalized order-d uniformity count of the indicator of A."""
+def _check_order(d: int) -> None:
     if d < 1:
         raise ValueError("order must be >= 1")
     if d > GOWERS_MAX_ORDER:
         raise ValueError(f"order {d} exceeds the practical cap {GOWERS_MAX_ORDER}")
+
+
+def gowers_u(A: GSet, d: int) -> GowersValue:
+    """Unnormalized order-d uniformity count of the indicator of A."""
+    _check_order(d)
     if A.card == 0:
         count = 0
     elif d == 1:
@@ -59,8 +63,7 @@ def gowers_pair_u3(A: GSet, B: GSet):
     """
     from .energy import EnergyValue, pair_energy
 
-    if A.group != B.group:
-        raise ValueError("gowers_pair_u3: group mismatch")
+    _same_group("gowers_pair_u3", A, B)
     if A.card == 0 or B.card == 0:
         return EnergyValue(0, 3.0, "mixed", True, vacuous=True)
     total = 0

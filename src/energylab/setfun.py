@@ -190,20 +190,14 @@ class DenseFunc:
             raise ValueError("function holds floating point values; only integer values are exact")
 
 
-def as_func(f) -> DenseFunc:
-    if isinstance(f, GSet):
-        return f.indicator()
-    if isinstance(f, DenseFunc):
-        return f
-    raise TypeError(f"expected GSet or DenseFunc, got {type(f)!r}")
-
-
 def _operand(f) -> tuple[np.ndarray, np.ndarray | None]:
     """The kernel operand of a set (its mask, with its cached members as the
     support) or of an integer function (its values)."""
     if isinstance(f, GSet):
         return f.mask, f.members
-    return as_func(f).values, None
+    if isinstance(f, DenseFunc):
+        return f.values, None
+    raise TypeError(f"expected GSet or DenseFunc, got {type(f)!r}")
 
 
 # -- exact convolution / correlation ------------------------------------------
@@ -255,11 +249,6 @@ def _exact_sum(v: np.ndarray, k: int = 1, w: np.ndarray | None = None) -> int:
     return int(term.sum())
 
 
-def _roll_array(group: GroupSpec, arr: np.ndarray, b: int) -> np.ndarray:
-    """arr rolled so that out[x] = arr[x - b]."""
-    return arr[group.shift_perm(int(b))]
-
-
 def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
                 sa: np.ndarray | None = None, sb: np.ndarray | None = None) -> np.ndarray:
     """The exact kernel behind every convolution and correlation.
@@ -306,13 +295,14 @@ def _conv_exact(group: GroupSpec, a: np.ndarray, b: np.ndarray, sign: int,
         bb = b if b.dtype == bool else b.astype(np.int64, copy=False)
     for y in sa.tolist():
         # a(y) contributes a(y)*b(x-y) resp. a(y)*b(y+x) = a(y)*roll(b, -y)(x)
-        shifted = _roll_array(group, bb, y if sign > 0 else int(group.neg_perm[y]))
+        shifted = bb[group.shift_perm(y if sign > 0 else int(group.neg_perm[y]))]
         out += shifted if unit_a else int(a[y]) * shifted
     return out[group.neg_perm] if swap and sign < 0 else out
 
 
-def _same_group(name: str, f, g) -> GroupSpec:
-    if f.group != g.group:
+def _same_group(name: str, f, *others) -> GroupSpec:
+    """The group shared by f and the others (sets or functions)."""
+    if any(g.group != f.group for g in others):
         raise ValueError(f"{name}: group mismatch")
     return f.group
 
@@ -446,10 +436,10 @@ def _rows_each(group, chunk, b, sb, sign, own) -> np.ndarray:
 
 def convolve_via_fourier(f, g) -> np.ndarray:
     """Float transform path for f*g; oracle only."""
-    ff, gg = as_func(f), as_func(g)
-    spec = fourier_array(ff.group, np.asarray(ff.values, dtype=np.float64)) * \
-        fourier_array(ff.group, np.asarray(gg.values, dtype=np.float64))
-    return np.real(inverse_fourier_array(ff.group, spec))
+    a, b = _operand(f)[0], _operand(g)[0]
+    group = _same_group("convolve_via_fourier", f, g)
+    spec = fourier_array(group, a.astype(np.float64)) * fourier_array(group, b.astype(np.float64))
+    return np.real(inverse_fourier_array(group, spec))
 
 
 def iterated_convolve(f, k: int) -> DenseFunc:
@@ -473,18 +463,14 @@ def sigma_k(A: GSet, k: int) -> int:
 
 def generalized_convolution(fs: Sequence, xs: Sequence[int]):
     """C(f_0,...,f_{k-1})(x_1,...,x_{k-1}) = sum_z f_0(z) f_1(z+x_1) ... f_{k-1}(z+x_{k-1})."""
-    funcs = [as_func(f) for f in fs]
-    k = len(funcs)
+    vals = [_operand(f)[0] for f in fs]
+    k = len(vals)
     if k < 2:
         raise ValueError("generalized convolution needs at least two functions")
     if len(xs) != k - 1:
         raise ValueError(f"expected {k - 1} shifts for {k} functions, got {len(xs)}")
-    g = funcs[0].group
-    for f in funcs[1:]:
-        if f.group != g:
-            raise ValueError("generalized_convolution: group mismatch")
-    rows = [funcs[0].values] + [_roll_array(g, f.values, int(g.neg_perm[int(x)]))
-                                for f, x in zip(funcs[1:], xs)]
+    g = _same_group("generalized_convolution", *fs)
+    rows = [vals[0]] + [v[g.shift_perm(int(g.neg_perm[int(x)]))] for v, x in zip(vals[1:], xs)]
     return _exact_sum(np.stack(rows))
 
 
@@ -493,8 +479,7 @@ def generalized_convolution(fs: Sequence, xs: Sequence[int]):
 
 def slice_set(A: GSet, B: GSet, shifts: Sequence[int]) -> GSet:
     """B cap (A - s_1) cap ... cap (A - s_m); the empty tuple gives B cap A."""
-    if A.group != B.group:
-        raise ValueError("slice_set: group mismatch")
+    _same_group("slice_set", A, B)
     if len(shifts) == 0:
         return GSet(A.group, B.mask & A.mask)
     mask = B.mask.copy()
@@ -509,8 +494,7 @@ def slice_set(A: GSet, B: GSet, shifts: Sequence[int]) -> GSet:
 
 
 def sumset(A: GSet, B: GSet) -> GSet:
-    if A.group != B.group:
-        raise ValueError("sumset: group mismatch")
+    _same_group("sumset", A, B)
     if not A.card or not B.card:
         return GSet.empty(A.group)
     small, big = (A, B) if A.card <= B.card else (B, A)

@@ -3,16 +3,18 @@ randomized disjoint family, the regular part, connectedness measurement and
 connected-subset extraction, the pseudorandom-slice scan, and a tiny-scale
 exhaustive small-doubling oracle.
 
-Determinism rules: greedy loops scan candidates in ascending index order;
+Determinism rules: greedy loops scan candidates in ascending index order, the
+translate and random families through one disjointification (`_disjointify`);
 subset searches enumerate bitmasks in ascending integer order (bit i of a mask
 is the i-th smallest member) and return the first qualifying subset; the
 randomized family uses a counter-based generator keyed by the caller's seed,
 with retries drawing further along the same stream.
 
-The exhaustive scans of E_alpha (connectedness) and |B - B| (the oracle) fill
-one value per subset mask S.  Both are sums over difference classes d of a
-function of cnt_d(S), the number of ordered member pairs with difference d
-inside S, and both run on the pairs grouped by class (`_pair_classes`):
+Each exhaustive scan fills one table over the subset masks S and hands it to
+one selector (`_select`: eligibility, ratio, first argmin, decoded witness).
+The tables of E_alpha (connectedness) and |B - B| (the oracle) are sums over
+difference classes d of a function of cnt_d(S), the number of ordered member
+pairs with difference d inside S, on the pairs grouped by `_pair_classes`:
 - integer alpha = k: cnt_d(S)^k counts the k-tuples of class-d pairs whose
   union lies in S, so one zeta (subset-sum) transform of the histogram of
   those unions gives every E_k(S), exactly, while the tuple count E_k(A) is
@@ -23,7 +25,9 @@ inside S, and both run on the pairs grouped by class (`_pair_classes`):
   masks in uint8 and adds table[cnt_d(S)] class by class in ascending order,
   so float results are reproducible to the bit.  Integer sums stay in int64
   while E_k(A) < INT64_SAFE_BOUND and use Python integers beyond.
-The route follows from alpha and the class sizes alone.
+The route follows from alpha and the class sizes alone.  The uniformity table
+(`_subset_uniformity_counts`) runs the slice recursion of `gowers` over all
+masks at once, on its own grouping of the pairs.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import WeightKernel, energy_k, pair_energy
+from .gowers import _check_order
 from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, SliceRows, _exact_sum, _rows_exact,
-                     convolve, correlate, difference_set, set_convolve, set_correlate)
+                     _same_group, convolve, correlate, difference_set, set_convolve,
+                     set_correlate)
 
 SUBSET_SEARCH_CAP = 22
 ORACLE_CAP = 18
@@ -113,28 +119,37 @@ class DisjointFamily:
                 raise AssertionError(f"family count {self.count} under the bound {bound}")
 
 
+def _disjointify(group, candidates, floor, take=None) -> list[tuple[object, GSet]]:
+    """The greedy disjointification behind the families: in candidate order, the
+    part of each (tag, mask) outside the union so far is kept, cut down by `take`
+    when given, while it has at least `floor` members."""
+    union = np.zeros(group.size, dtype=bool)
+    members: list[tuple[object, GSet]] = []
+    for tag, mask in candidates:
+        rest = mask & ~union
+        if np.count_nonzero(rest) >= floor:
+            kept = rest if take is None else take(rest)
+            members.append((tag, GSet(group, kept)))
+            union |= kept
+    return members
+
+
 def greedy_disjoint_translates(A: GSet, B: GSet) -> DisjointFamily:
     """Disjoint pieces A_j inside translates A + b_j with |A_j| >= |A|/2.
 
     Single ascending scan over b in B keeping each residual that stays at least
     half of |A|.  The returned count s satisfies s >= |A| |B|^2 / (16 E(A,B))
     or s >= |B|/2 (both exits audited)."""
-    if A.group != B.group:
-        raise ValueError("group mismatch")
+    g = _same_group("greedy_disjoint_translates", A, B)
     if not A.card or not B.card:
         raise PreconditionError("both sets must be nonempty")
-    taken = np.zeros(A.group.size, dtype=bool)
-    members: list[tuple[object, GSet]] = []
-    for b in B.members.tolist():
-        residual = A._roll(b) & ~taken
-        if 2 * np.count_nonzero(residual) >= A.card:
-            members.append((b, GSet(A.group, residual)))
-            taken |= residual
+    half = (A.card + 1) // 2
+    members = _disjointify(g, ((b, A._roll(b)) for b in B.members.tolist()), half)
     e = pair_energy(A, B)
     bound = A.card * B.card * B.card / (16.0 * e)
     fam = DisjointFamily(
         members=members,
-        min_size=(A.card + 1) // 2,
+        min_size=half,
         provenance={
             "algorithm": "greedy_disjoint_translates",
             "count_bound": min(bound, B.card / 2.0),
@@ -151,22 +166,15 @@ def greedy_disjoint_in_target(A: GSet, B: GSet, S: GSet) -> DisjointFamily:
 
     Requires sigma = sum_{x in S} (A*B)(x) >= 16 |B|; raises otherwise because the
     count guarantee sigma^3 / (256 |A|^2 |B| E(A,B)) is void below that mass."""
-    if not (A.group == B.group == S.group):
-        raise ValueError("group mismatch")
+    g = _same_group("greedy_disjoint_in_target", A, B, S)
     conv = set_convolve(A, B)
     sigma = int(conv[S.members].sum()) if S.card else 0
     if sigma < 16 * B.card:
         raise PreconditionError(f"sigma={sigma} below 16|B|={16 * B.card}; bound not guaranteed")
     piece_size = -(-sigma // (8 * B.card))  # ceil
-    taken = np.zeros(A.group.size, dtype=bool)
-    members: list[tuple[object, GSet]] = []
-    for b in B.members.tolist():
-        window = np.flatnonzero(A._roll(b) & S.mask & ~taken)
-        if window.size >= piece_size:
-            kept = np.zeros(A.group.size, dtype=bool)
-            kept[window[:piece_size]] = True
-            members.append((b, GSet(A.group, kept)))
-            taken |= kept
+    # each piece is the first piece_size points of what is left of S cap (A + b)
+    members = _disjointify(g, ((b, A._roll(b) & S.mask) for b in B.members.tolist()),
+                           piece_size, lambda rest: rest & (np.cumsum(rest) <= piece_size))
     e = pair_energy(A, B)
     bound = sigma ** 3 / (256.0 * A.card * A.card * B.card * e)
     fam = DisjointFamily(
@@ -189,8 +197,7 @@ def greedy_disjoint_slices(A: GSet, D: GSet) -> DisjointFamily:
     (ties to the smallest index); stops once fewer than |D|/2 shifts survive.
     Disjointness holds because t in A - A_s exactly when A_t meets A_s.
     The count satisfies l >= |D|^2 / (4 sigma) with sigma = sum_{s in D}|A - A_s|."""
-    if A.group != D.group:
-        raise ValueError("group mismatch")
+    _same_group("greedy_disjoint_slices", A, D)
     if not D.card:
         raise PreconditionError("D must be nonempty")
     ca = set_correlate(A, A)
@@ -236,11 +243,9 @@ def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int) 
     t = len(Ms)
     if t == 0:
         raise PreconditionError("empty family")
-    g = Ms[0].group
+    g = _same_group("random_disjoint_family", *Ms)
     occupancy = np.zeros(g.size, dtype=np.int64)
     for M in Ms:
-        if M.group != g:
-            raise ValueError("group mismatch")
         if not delta <= M.card <= C * delta:
             raise PreconditionError(f"member size {M.card} outside [delta, C delta] = [{delta}, {C * delta}]")
         occupancy[M.members] += 1
@@ -254,15 +259,8 @@ def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int) 
     target = t * t * delta / ((32.0 * C + 16.0) * sigma)
     rng = np.random.Generator(np.random.Philox(key=seed))
     for attempt in range(RANDOM_FAMILY_RETRIES):
-        chosen = np.flatnonzero(rng.random(t) < p)
-        union = np.zeros(g.size, dtype=bool)
-        members: list[tuple[object, GSet]] = []
-        for i in chosen.tolist():
-            piece = Ms[i].mask & ~union
-            pc = int(np.count_nonzero(piece))
-            if pc >= keep_floor:
-                members.append((i, GSet(g, piece)))
-                union |= piece
+        chosen = np.flatnonzero(rng.random(t) < p).tolist()
+        members = _disjointify(g, ((i, Ms[i].mask) for i in chosen), keep_floor)
         if len(members) >= target:
             fam = DisjointFamily(
                 members=members,
@@ -283,17 +281,22 @@ def random_disjoint_family(Ms: Sequence[GSet], delta: int, C: float, seed: int) 
         f"random_disjoint_family: {RANDOM_FAMILY_RETRIES} seeded attempts all fell short of {target:.3f}")
 
 
+def _markov_half(A: GSet, rows: np.ndarray, total: int, what: str) -> GSet:
+    """The members x of A with rows[x] |A| <= 2 total, compared in Python integers;
+    `what` names the part in the error raised should fewer than half survive."""
+    out = GSet.from_indices(A.group, [x for x in A.members.tolist()
+                                      if int(rows[x]) * A.card <= 2 * total])
+    if 2 * out.card < A.card:
+        raise AssertionError(f"{what} lost more than half of the set")
+    return out
+
+
 def regular_part(A: GSet) -> GSet:
     """{x in A : ((A*A) o A)(x) <= 2 E(A)/|A|}; always at least half of A."""
     if not A.card:
         raise PreconditionError("A must be nonempty")
     cube = correlate(convolve(A, A), A).values
-    e2 = int(energy_k(A, 2).value)
-    keep = [x for x in A.members.tolist() if int(cube[x]) * A.card <= 2 * e2]
-    out = GSet.from_indices(A.group, keep)
-    if 2 * out.card < A.card:
-        raise AssertionError("regular part lost more than half of the set")
-    return out
+    return _markov_half(A, cube, int(energy_k(A, 2).value), "regular part")
 
 
 def regular_part_weighted(A: GSet, weight: np.ndarray) -> GSet:
@@ -308,13 +311,8 @@ def regular_part_weighted(A: GSet, weight: np.ndarray) -> GSet:
         raise ValueError("weight must be nonnegative")
     if not np.array_equal(w, w[A.group.neg_perm]):
         raise ValueError("weight must be even")
-    rows = convolve(A.indicator(), DenseFunc(A.group, w.astype(np.int64))).values
-    total = int(rows[A.members].sum())
-    keep = [x for x in A.members.tolist() if int(rows[x]) * A.card <= 2 * total]
-    out = GSet.from_indices(A.group, keep)
-    if 2 * out.card < A.card:
-        raise AssertionError("weighted regular part lost more than half of the set")
-    return out
+    rows = convolve(A, DenseFunc(A.group, w.astype(np.int64))).values
+    return _markov_half(A, rows, int(rows[A.members].sum()), "weighted regular part")
 
 
 # -- exhaustive subset scans ---------------------------------------------------------
@@ -449,53 +447,92 @@ def _subset_difference_counts(A: GSet) -> np.ndarray:
     return out
 
 
+def _subset_uniformity_counts(A: GSet, k: int) -> np.ndarray:
+    """U_k of the subset at every mask S, by the slice recursion of `gowers` run over
+    all masks at once: U_1(S) = |S|^2, U_k(S) = sum_h U_{k-1}(S cap (S - h)).
+
+    S cap (S - h) is the mask of the members a_j with a_j + h in S: bit j is set
+    when j and the i with a_i - a_j = h both lie in S, so each class h moves bit i
+    of S to bit j over its ordered member pairs (i, j).  The pairs are grouped
+    here, not by `_pair_classes`, so the k = 2 table and the E_2 scan stay
+    independent routes.  (k - 1) m^2 2^m steps; int64 holds U_k(S) <= m^(k+1)."""
+    m = A.card
+    idx = np.arange(1 << m, dtype=np.uint32)
+    table = np.bitwise_count(idx).astype(np.int64) ** 2
+    mem = A.members
+    diffs = A.group.sub_indices(mem[:, None], mem[None, :]).reshape(-1)
+    pairs = np.flatnonzero(diffs)  # h = 0 is S itself
+    pairs = pairs[np.argsort(diffs[pairs], kind="stable")]
+    cuts = np.flatnonzero(np.diff(diffs[pairs])) + 1
+    classes = [[divmod(p, m) for p in c.tolist()] for c in np.split(pairs, cuts)]
+    moved, bit = np.empty_like(idx), np.empty_like(idx)
+    gathered = np.empty_like(table)
+    for _ in range(k - 1):
+        deeper = table.copy()
+        for pairs_h in classes:
+            moved.fill(0)
+            for i, j in pairs_h:
+                np.right_shift(idx, i, out=bit)  # bit i of S, moved to bit j
+                bit &= 1
+                bit <<= j
+                moved |= bit
+            moved &= idx
+            deeper += np.take(table, moved, out=gathered)
+        table = deeper
+    return table
+
+
+def _check_scan(A: GSet, cap: int, kind: str = "exhaustive-search") -> None:
+    """An exhaustive scan runs on a nonempty A of at most `cap` members."""
+    if A.card == 0:
+        raise PreconditionError("A must be nonempty")
+    if A.card > cap:
+        raise ValueError(f"|A| = {A.card} exceeds the {kind} cap {cap}")
+
+
+def _decode(A: GSet, mask: int) -> GSet:
+    """The subset of A at a bitmask: bit i is the i-th smallest member."""
+    return GSet.from_indices(A.group, A.members[(mask >> np.arange(A.card)) & 1 == 1].tolist())
+
+
+def _select(A: GSet, table: np.ndarray, frac: float,
+            scale: np.ndarray | None = None) -> tuple[float, GSet]:
+    """The minimum of a scan's ratio over the nonempty masks S with |S| >= frac |A|
+    and the subset at the first mask attaining it: (inf, empty set) when none
+    qualifies.  The ratio is table[S] * scale[|S|] / table[A], or table[S] / |S|
+    without a scale."""
+    m = A.card
+    sizes = _popcounts(1 << m)
+    eligible = sizes >= frac * m - 1e-9
+    eligible[0] = False
+    sel = np.flatnonzero(eligible)
+    ratios = np.full(1 << m, np.inf)
+    if scale is None:
+        ratios[sel] = table[sel] / sizes[sel]
+    else:
+        ratios[sel] = table[sel].astype(np.float64) * scale[sizes[sel]] / float(table[-1])
+    best = int(np.argmin(ratios))
+    return float(ratios[best]), _decode(A, best)
+
+
 def connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet]:
     """gamma = min over B subset of A with |B| >= beta |A| of
     E_alpha(B) (|A|/|B|)^(2 alpha) / E_alpha(A), with its first minimizing witness."""
-    if A.card == 0:
-        raise PreconditionError("A must be nonempty")
-    if A.card > SUBSET_SEARCH_CAP:
-        raise ValueError(f"|A| = {A.card} exceeds the exhaustive-search cap {SUBSET_SEARCH_CAP}")
-    e_full = _subset_power_sums(A, alpha)
-    a = A.card
-    full = (1 << a) - 1
-    e_a = float(e_full[full])
-    sizes = _popcounts(1 << a)
-    eligible = sizes >= beta * a - 1e-9
-    eligible[0] = False
-    ratios = np.full(e_full.shape, np.inf)
-    with np.errstate(divide="ignore"):
-        sel = np.flatnonzero(eligible)
-        ratios[sel] = e_full[sel].astype(np.float64) * (a / sizes[sel].astype(np.float64)) ** (2 * alpha) / e_a
-    best = int(np.argmin(ratios))
-    gamma = float(ratios[best])
-    mem = A.members
-    witness = GSet.from_indices(A.group, [int(mem[i]) for i in range(a) if (best >> i) & 1])
-    return gamma, witness
+    _check_scan(A, SUBSET_SEARCH_CAP)
+    m = A.card
+    scale = (m / np.maximum(np.arange(m + 1.0), 1)) ** (2 * alpha)
+    return _select(A, _subset_power_sums(A, alpha), beta, scale)
 
 
 def gowers_connectedness_gamma(A: GSet, k: int, beta: float) -> tuple[float, GSet]:
     """Like connectedness_gamma but with order-k uniformity counts in place of E_alpha."""
-    from .gowers import gowers_u
-
-    if A.card == 0:
-        raise PreconditionError("A must be nonempty")
-    if A.card > SUBSET_SEARCH_CAP:
-        raise ValueError(f"|A| = {A.card} exceeds the exhaustive-search cap {SUBSET_SEARCH_CAP}")
-    a = A.card
-    mem = A.members.tolist()
-    u_a = gowers_u(A, k).count
-    best_gamma, best_mask = math.inf, 0
-    for mask in range(1, 1 << a):
-        size = mask.bit_count()
-        if size < beta * a - 1e-9:
-            continue
-        B = GSet.from_indices(A.group, [mem[i] for i in range(a) if (mask >> i) & 1])
-        ratio = gowers_u(B, k).count * (a / size) ** (1 << k) / u_a
-        if ratio < best_gamma:
-            best_gamma, best_mask = ratio, mask
-    witness = GSet.from_indices(A.group, [mem[i] for i in range(a) if (best_mask >> i) & 1])
-    return float(best_gamma), witness
+    _check_scan(A, SUBSET_SEARCH_CAP)
+    _check_order(k)
+    m = A.card
+    # (|A|/|B|)^(2^k) by libm pow: numpy's array power rounds some of these values
+    # differently, and gamma is reproducible to the bit
+    scale = np.array([(m / max(size, 1)) ** (1 << k) for size in range(m + 1)])
+    return _select(A, _subset_uniformity_counts(A, k), beta, scale)
 
 
 def _subset_sums_over_masks(weights: np.ndarray) -> np.ndarray:
@@ -523,10 +560,7 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
         raise ValueError("need 0 < beta1 <= beta2 <= 1")
     if not rho < beta1 / beta2:
         raise PreconditionError("need rho < beta1/beta2")
-    if A.card > SUBSET_SEARCH_CAP:
-        raise ValueError(f"|A| = {A.card} exceeds the exhaustive-search cap {SUBSET_SEARCH_CAP}")
-    if A.card == 0:
-        raise PreconditionError("A must be nonempty")
+    _check_scan(A, SUBSET_SEARCH_CAP)
 
     current = A
     steps = 0
@@ -559,8 +593,7 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
             first = int(hits[0])
         if first < 0:
             return current, steps
-        drop = [int(mem[i]) for i in range(m) if (first >> i) & 1]
-        current = current.difference(GSet.from_indices(A.group, drop))
+        current = current.difference(_decode(current, first))
         steps += 1
 
 
@@ -615,20 +648,9 @@ def min_slice_energy_ratio(A: GSet) -> SliceScan:
 def small_doubling_subset_oracle(A: GSet, min_frac: float) -> tuple[GSet, float]:
     """Exhaustive search for the subset of relative size >= min_frac minimizing
     |A' - A'| / |A'|.  Ties break to the smallest bitmask.  Capped at 18 members."""
-    if A.card > ORACLE_CAP:
-        raise ValueError(f"|A| = {A.card} exceeds the oracle cap {ORACLE_CAP}")
-    if not A.card:
-        raise PreconditionError("A must be nonempty")
-    m = A.card
-    diff_count = _subset_difference_counts(A)
-    pops = _popcounts(1 << m)
-    eligible = pops >= min_frac * m - 1e-9
-    eligible[0] = False
-    ratios = np.where(eligible, diff_count / np.maximum(pops, 1), np.inf)
-    best = int(np.argmin(ratios))
-    mem = A.members
-    witness = GSet.from_indices(A.group, [int(mem[i]) for i in range(m) if (best >> i) & 1])
-    return witness, float(ratios[best])
+    _check_scan(A, ORACLE_CAP, "oracle")
+    ratio, witness = _select(A, _subset_difference_counts(A), min_frac)
+    return witness, ratio
 
 
 def popular_slice_family(A: GSet, seed: int, C: float = 2.0) -> DisjointFamily:

@@ -44,9 +44,8 @@ from .energy import (energy_k, energy_pair_k, mixed_energy, pair_energy,
 from .gowers import gowers_pair_u3, gowers_u
 from .group import complex_correlate, fourier_array, make_group
 from .setfun import (BudgetError, GSet, SliceRows, _exact_sum, _rows_exact,
-                     count_nonempty_slice_tuples, delta_pairs_direct, delta_sumset_size,
-                     difference_set, katz_koester_check, set_correlate, sumset,
-                     tuple_sumset_sum)
+                     count_nonempty_slice_tuples, delta_pairs_direct, difference_set,
+                     katz_koester_check, set_correlate, sumset, tuple_sumset_sum)
 from .structure import (ORACLE_CAP, connectedness_gamma, greedy_disjoint_slices,
                         greedy_disjoint_translates, random_disjoint_family,
                         regular_part, small_doubling_subset_oracle)
@@ -265,7 +264,6 @@ _ENTRIES = {
     "e3_daa": lambda p: int(mixed_energy([p.D, p.A, p.A]).value),
     "e_ab": lambda p: pair_energy(p.A, p.B),
     "t4": lambda p: t_k(p.A, 4),
-    "plus_pairs": lambda p: delta_sumset_size(p.A, 2, "+"),
     "regular": lambda p: regular_part(p.A),
     "oracle": lambda p: small_doubling_subset_oracle(p.A, 0.5),
     "slice_sumsets": _slice_sumsets,
@@ -367,6 +365,12 @@ def _popular_half(g, corr: np.ndarray) -> GSet:
     return GSet(g, mask)
 
 
+def _slice_sumset_sum(p: Profile, side: int) -> int:
+    """sum over the shifts s with A_s nonempty of |A - A_s| (side 0) or |A + A_s| (side 1),
+    which is also |A^2 -+ Delta(A)|."""
+    return sum(cards[side] for cards in p.slice_sumsets.values())
+
+
 def _slice_weighted_sum(p: Profile, side: int):
     """sum_s (A o A)(s)^2 / |A -+ A_s| against E_3 / |A|^2, compared exactly."""
     acc = sum((Fraction(int(p.ca[s]) ** 2, cards[side]) for s, cards in p.slice_sumsets.items()),
@@ -447,9 +451,9 @@ def _remark_exponents(k: int) -> tuple[int, int]:
 _INEQUALITY_ROWS = (
     # popular-shift mass over the full difference set (both signs)
     *((f"ineq.corpop_{word}", f"popular-shift sumset mass, sign {sign}", _GE,
-       lambda p, sign=sign: (tuple_sumset_sum(p.A, 1, sign) * p.E(3), p.sigma ** 2 * p.a ** 2,
+       lambda p, side=side: (_slice_sumset_sum(p, side) * p.E(3), p.sigma ** 2 * p.a ** 2,
                              "sum_s |A-+A_s| * E_3 vs sigma^2 |A|^2"))
-      for sign, word in (("-", "minus"), ("+", "plus"))),
+      for side, (sign, word) in enumerate((("-", "minus"), ("+", "plus")))),
     ("ineq.corpop_mixed", "mixed third moment against popular mass", _GE,
      lambda p: (p.e3_daa * p.E(3) * p.a ** 6, p.E(2) ** 2 * p.sigma ** 4)),
     *((f"ineq.e3_weight_{word}", f"slice-size weighted sum, sign {sign}", _HOLDS,
@@ -465,7 +469,7 @@ _INEQUALITY_ROWS = (
     *((f"ineq.ekd_chain_minus_k{k}", f"difference-set moment chain k={k}", _HOLDS,
        lambda p, k=k: _chain_minus(p, k)) for k in (1, 2, 3)),
     *((f"ineq.ekd_chain_plus_k{k}", f"sumset moment chain k={k}", _HOLDS,
-       lambda p, k=k: _chain(p, p.cs, k, p.a ** (k - 1) * p.plus_pairs,
+       lambda p, k=k: _chain(p, p.cs, k, p.a ** (k - 1) * _slice_sumset_sum(p, 1),
                              p.a ** k * max(p.D.card, p.S.card)))
       for k in (1, 2, 3)),
     # fourth-moment vs additive structure of D and S (k = 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from energylab.cli import main
+from energylab.constructors import InstanceSpec
 from energylab.setfun import GSet
 
 
@@ -30,16 +31,21 @@ def test_construct_roundtrip(tmp_path):
 
 
 def test_construct_kinds(tmp_path):
-    for kind, extra in (
-        ("subspace", ["--n", "4", "--dim", "2"]),
-        ("dissociated", ["--n", "5", "--k", "3"]),
-        ("hplusl", ["--n", "6", "--dim", "2", "--k", "4"]),
-        ("random", ["--group", "101", "--density", "0.2", "--seed", "42"]),
-        ("cosetUnion", ["--n", "6", "--blocks", "2,2,2"]),
+    """Each kind's set file holds the InstanceSpec build of its options."""
+    for kind, extra, params, seed in (
+        ("subspace", ["--n", "4", "--dim", "2"], {"n": 4, "dim": 2}, 0),
+        ("dissociated", ["--n", "5", "--k", "3"], {"n": 5, "k": 3}, 0),
+        ("hplusl", ["--n", "6", "--dim", "2", "--k", "4"], {"n": 6, "dim": 2, "K": 4}, 0),
+        ("ap", ["--modulus", "31", "--start", "3", "--step", "5", "--length", "7"],
+         {"N": 31, "start": 3, "step": 5, "length": 7}, 0),
+        ("random", ["--group", "2,3,17", "--density", "0.2", "--seed", "42"],
+         {"group": [2, 3, 17], "density": 0.2}, 42),
+        ("cosetUnion", ["--n", "6", "--blocks", "2,1,2"], {"n": 6, "dims": [2, 1, 2]}, 0),
     ):
         out = tmp_path / f"{kind}.json"
         assert main(["construct", "--kind", kind, "--out", str(out)] + extra) == 0
-        GSet.from_dict(json.loads(out.read_text()))
+        loaded = GSet.from_dict(json.loads(out.read_text()))
+        assert loaded == InstanceSpec(kind, params, seed).build(), kind
 
 
 def test_energy_command(golden_file, capsys):

@@ -603,3 +603,39 @@ def test_slice_masses_stay_in_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, entry.__name__
+
+
+def _two_set_calls():
+    """Every public function of two or more sets, called on (A, B)."""
+    from energylab import energy, gowers, structure
+
+    def weighted(A, B):
+        q = energy.WeightKernel.from_difference(A.group, set_correlate(A, A), psd=True)
+        return energy.weighted_energy(A, B, q)
+
+    return {
+        "convolve": convolve, "correlate": correlate, "set_convolve": set_convolve,
+        "set_correlate": set_correlate, "convolve_via_fourier": convolve_via_fourier,
+        "generalized_convolution": lambda A, B: generalized_convolution([A, B], [1]),
+        "slice_set": lambda A, B: slice_set(A, B, [1]), "sumset": sumset,
+        "difference_set": difference_set, "SliceRows": lambda A, B: SliceRows(A, B, [0]),
+        "energy_pair_k": energy.energy_pair_k, "pair_energy": energy.pair_energy,
+        "mixed_energy": lambda A, B: energy.mixed_energy([A, B]),
+        "t_energy": lambda A, B: energy.t_energy([A, B]),
+        "sigma_restricted": energy.sigma_restricted,
+        "restricted_energy": energy.restricted_energy, "weighted_energy": weighted,
+        "pair_energy_spectrum": energy.pair_energy_spectrum,
+        "gowers_pair_u3": gowers.gowers_pair_u3,
+        "greedy_disjoint_translates": structure.greedy_disjoint_translates,
+        "greedy_disjoint_in_target": lambda A, B: structure.greedy_disjoint_in_target(A, A, B),
+        "greedy_disjoint_slices": structure.greedy_disjoint_slices,
+        "random_disjoint_family": lambda A, B: structure.random_disjoint_family([A, B], 3, 1.0, 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_two_set_calls()))
+def test_two_set_functions_refuse_mismatched_groups(name):
+    A = GSet.from_indices(make_group([5]), [0, 1, 2])
+    B = GSet.from_indices(make_group([7]), [0, 1, 2])
+    with pytest.raises(ValueError, match="group mismatch"):
+        _two_set_calls()[name](A, B)

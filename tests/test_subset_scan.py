@@ -1,9 +1,12 @@
 """The exhaustive subset-scan kernels of `structure`, mask by mask against brute
 oracles: E_k of every subset (zeta transform of the tuple-union histogram, and
-the class sweep) and |B - B| of every subset (inclusion-exclusion transform,
-and the class sweep); the float class sweep against the per-class loop it
+the class sweep), |B - B| of every subset (inclusion-exclusion transform, and
+the class sweep) and the order-k uniformity count of every subset (the mask
+slice recursion); the float class sweep against the per-class loop it
+replaced, to the bit; the uniformity scan against the per-subset loop it
 replaced, to the bit; the int64 escalation; and the scans' peak memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,10 +14,12 @@ import pytest
 
 from energylab.constructors import arithmetic_progression
 from energylab.energy import energy_k
+from energylab.gowers import gowers_u
 from energylab.group import make_group
 from energylab.setfun import GSet, difference_set
 from energylab.structure import (_class_sweep, _pair_classes, _popcounts, _subset_difference_counts,
-                                 _subset_power_sums, _tuple_unions, _zeta, connectedness_gamma,
+                                 _subset_power_sums, _subset_uniformity_counts, _tuple_unions,
+                                 _zeta, connectedness_gamma, gowers_connectedness_gamma,
                                  small_doubling_subset_oracle)
 
 
@@ -72,6 +77,67 @@ def test_difference_counts_match_every_subset(A):
     brute = [difference_set(B, B).card for B in (_subset(A, s) for s in range(1 << m))]
     assert _subset_difference_counts(A).tolist() == brute
     assert sweep.tolist() == brute
+
+
+def _brute_uniformity(S: frozenset, k: int, diff: dict, memo: dict) -> int:
+    """U_k(S) by its recursion on Python sets: U_1(S) = |S|^2 and U_k(S) is the sum
+    over h of U_{k-1}(S cap (S - h)), where S cap (S - h) = {x in S : x + h in S}
+    gathers the x of the pairs (x, y) in S^2 with diff[y, x] = y - x = h."""
+    if k == 1:
+        return len(S) ** 2
+    if (S, k) not in memo:
+        slices: dict[int, set] = {}
+        for x in S:
+            for y in S:
+                slices.setdefault(diff[y, x], set()).add(x)
+        memo[S, k] = sum(_brute_uniformity(frozenset(X), k - 1, diff, memo)
+                         for X in slices.values())
+    return memo[S, k]
+
+
+@pytest.mark.parametrize("A", SCAN_SETS, ids=lambda A: f"{A.group}-{A.card}")
+def test_uniformity_counts_match_every_subset(A):
+    m = A.card
+    mem = A.members.tolist()
+    diff = {(y, x): A.group.sub(y, x) for x in mem for y in mem}
+    subsets = [_subset(A, s) for s in range(1 << m)]
+    memo: dict = {}
+    for k in (1, 2, 3, 4):
+        table = _subset_uniformity_counts(A, k).tolist()
+        assert table == [gowers_u(B, k).count for B in subsets]
+        assert table == [_brute_uniformity(frozenset(B.members.tolist()), k, diff, memo)
+                         for B in subsets]
+        if k == 2:
+            assert table == _subset_power_sums(A, 2).tolist()
+
+
+def _reference_gowers_gamma(A, k, beta):
+    """The per-subset loop the uniformity scan replaced: one gowers_u per subset."""
+    a = A.card
+    u_a = gowers_u(A, k).count
+    best_gamma, best_mask = math.inf, 0
+    for mask in range(1, 1 << a):
+        size = mask.bit_count()
+        if size < beta * a - 1e-9:
+            continue
+        ratio = gowers_u(_subset(A, mask), k).count * (a / size) ** (1 << k) / u_a
+        if ratio < best_gamma:
+            best_gamma, best_mask = ratio, mask
+    return float(best_gamma), _subset(A, best_mask)
+
+
+# the last set's gamma at k = 2, beta = 0.3 lies on a size whose scale (6/5)^4
+# numpy's array power rounds one ulp away from libm pow
+@pytest.mark.parametrize("A", SCAN_SETS[::2] + [GSet.from_indices(make_group((2, 4, 3)),
+                                                                  [3, 7, 9, 11, 12, 18])],
+                         ids=lambda A: f"{A.group}-{A.card}")
+def test_gowers_gamma_matches_the_per_subset_loop(A):
+    for k in (1, 2, 3):
+        for beta in (0.3, 0.5, 2 / 3, 1.0):
+            gamma, witness = gowers_connectedness_gamma(A, k, beta)
+            want_gamma, want_witness = _reference_gowers_gamma(A, k, beta)
+            assert gamma.hex() == want_gamma.hex()
+            assert witness == want_witness
 
 
 def test_both_routes_are_covered():
@@ -152,3 +218,4 @@ def test_scan_peak_memory_at_m18():
     assert _peak_bytes(lambda: connectedness_gamma(A, 2, 0.5)) < 24 * 2 ** 20
     assert _peak_bytes(lambda: connectedness_gamma(A, 1.5, 0.5)) < 24 * 2 ** 20
     assert _peak_bytes(lambda: small_doubling_subset_oracle(A, 0.5)) < 24 * 2 ** 20
+    assert _peak_bytes(lambda: gowers_connectedness_gamma(A, 3, 0.5)) < 24 * 2 ** 20

@@ -10,19 +10,26 @@ is the i-th smallest member) and return the first qualifying subset; the
 randomized family uses a counter-based generator keyed by the caller's seed,
 with retries drawing further along the same stream.
 
-Each exhaustive scan fills one table over the subset masks S and hands it to
-one selector (`_select`: eligibility, ratio, first argmin, decoded witness).
-The tables of E_alpha (connectedness) and |B - B| (the oracle) are sums over
-difference classes d of a function of cnt_d(S), the number of ordered member
-pairs with difference d inside S, on the pairs grouped by `_pair_classes`:
+Each exhaustive scan hands its values over the subset masks S to one selector
+(`_select`: eligibility, ratio, first argmin, decoded witness).  The values of
+E_alpha (connectedness) and |B - B| (the oracle) are sums over difference
+classes d of a function of cnt_d(S), the number of ordered member pairs with
+difference d inside S, on the pairs grouped by `_pair_classes`:
 - integer alpha = k: cnt_d(S)^k counts the k-tuples of class-d pairs whose
   union lies in S, so one zeta (subset-sum) transform of the histogram of
   those unions gives every E_k(S), exactly, while the tuple count E_k(A) is
   at most 2^m;
-- the oracle: [cnt_d(S) > 0] is an inclusion-exclusion sum over the class's
-  distinct pairs, transformed the same way while its terms number at most 2^m;
-- otherwise, and for non-integer alpha, a class sweep counts cnt_d(S) for all
-  masks in uint8 and adds table[cnt_d(S)] class by class in ascending order,
+- the oracle: [cnt_d(S) > 0] is an inclusion-exclusion sum over the unions of
+  the class's distinct pair masks (`_subset_unions`), transformed the same way
+  while its terms number at most 2^m;
+- non-integer alpha takes two phases (`_fractional_gamma`).  The same unions,
+  weighted by the Newton forward differences of c -> c^alpha, go through one
+  float64 zeta transform: an estimate of every E_alpha(S) with an a-priori
+  error bound.  Only the masks whose ratio the bound cannot rule out of the
+  minimum are re-evaluated by the class sweep, so gamma and its witness are
+  those of a full sweep, to the bit.  Past 2^m terms the full sweep runs;
+- otherwise a class sweep counts cnt_d(S) for all masks (or for a given mask
+  array) in uint8 and adds table[cnt_d(S)] class by class in ascending order,
   so float results are reproducible to the bit.  Integer sums stay in int64
   while E_k(A) < INT64_SAFE_BOUND and use Python integers beyond.
 The route follows from alpha and the class sizes alone.  The uniformity table
@@ -47,6 +54,7 @@ from .setfun import (INT64_SAFE_BOUND, DenseFunc, GSet, SliceRows, _exact_sum, _
 
 SUBSET_SEARCH_CAP = 22
 ORACLE_CAP = 18
+BOUND_CHUNK = 1 << 15
 RANDOM_FAMILY_RETRIES = 64
 
 
@@ -318,9 +326,19 @@ def regular_part_weighted(A: GSet, weight: np.ndarray) -> GSet:
 # -- exhaustive subset scans ---------------------------------------------------------
 
 
+_POPCOUNTS = np.zeros(1, dtype=np.uint8)
+
+
 def _popcounts(n_masks: int) -> np.ndarray:
-    masks = np.arange(n_masks, dtype=np.uint32)
-    return np.bitwise_count(masks).astype(np.int64)
+    """|S| for the masks S = 0 .. n_masks - 1: a read-only uint8 view of one cached
+    table, rebuilt only for a larger n_masks (a prefix of a larger table is the
+    smaller one)."""
+    global _POPCOUNTS
+    if _POPCOUNTS.size < n_masks:
+        table = np.bitwise_count(np.arange(n_masks, dtype=np.uint32))
+        table.flags.writeable = False
+        _POPCOUNTS = table
+    return _POPCOUNTS[:n_masks]
 
 
 def _pair_classes(A: GSet) -> tuple[np.ndarray, np.ndarray]:
@@ -350,16 +368,18 @@ def _zeta(h: np.ndarray, m: int) -> np.ndarray:
     return h
 
 
-def _class_sweep(m: int, masks: np.ndarray, bounds: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """sum_d lut[cnt_d(S)] for every mask S, added class by class in ascending order
-    (so a float result is reproducible to the bit).  Counts are uint8: cnt_d <= m."""
-    n_masks = 1 << m
-    idx = np.arange(n_masks, dtype=np.uint32)
+def _class_sweep(m: int, masks: np.ndarray, bounds: np.ndarray, lut: np.ndarray,
+                 at: np.ndarray | None = None) -> np.ndarray:
+    """sum_d lut[cnt_d(S)] for every mask S, or for the masks S in `at`, added class
+    by class in ascending order, so a float value is reproducible to the bit and
+    the same at a mask whichever masks are swept with it.  Counts are uint8:
+    cnt_d <= m."""
+    idx = np.arange(1 << m, dtype=np.uint32) if at is None else at
     bits = [((idx >> i) & 1).astype(np.uint8) for i in range(m)]
-    acc = np.zeros(n_masks, dtype=lut.dtype)
-    term = np.empty(n_masks, dtype=lut.dtype)
-    cnt = np.empty(n_masks, dtype=np.uint8)
-    pair = np.empty(n_masks, dtype=np.uint8)
+    acc = np.zeros(idx.size, dtype=lut.dtype)
+    term = np.empty(idx.size, dtype=lut.dtype)
+    cnt = np.empty(idx.size, dtype=np.uint8)
+    pair = np.empty(idx.size, dtype=np.uint8)
     for c in range(bounds.size - 1):
         cnt.fill(0)
         for mk in masks[bounds[c]:bounds[c + 1]].tolist():
@@ -400,14 +420,53 @@ def _subset_power_sums(A: GSet, alpha: float) -> np.ndarray:
     sizes = np.diff(bounds)
     c = np.arange(int(sizes.max()) + 1)
     if float(alpha) != int(alpha):
-        lut = np.where(c > 0, c.astype(np.float64), 1.0) ** float(alpha) * (c > 0)
-        return _class_sweep(m, masks, bounds, lut)
+        return _class_sweep(m, masks, bounds, _power_lut(c, alpha))
     k = int(alpha)
     e_full = sum(int(s) ** k for s in sizes.tolist())
     if k >= 1 and e_full <= 1 << m:
         return _zeta(np.bincount(_tuple_unions(masks, bounds, k), minlength=1 << m), m)
     dtype = np.int64 if e_full < INT64_SAFE_BOUND else object
     return _class_sweep(m, masks, bounds, np.array([v ** k for v in c.tolist()], dtype=dtype))
+
+
+def _power_lut(c: np.ndarray, alpha: float) -> np.ndarray:
+    """c^alpha for the counts c, and 0 at c = 0, as float64."""
+    return np.where(c > 0, c.astype(np.float64), 1.0) ** float(alpha) * (c > 0)
+
+
+def _distinct_pairs(m: int, masks: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct pair masks of every nonzero class: (owner, mask, distinct), the
+    class and mask of each in ascending (class, mask) order, and u_d, the number
+    per class.  (i, j) and (j, i) share a mask, and one class, exactly when 2d = 0,
+    so a class holds u_d or 2 u_d pairs."""
+    pair_class = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    key = np.unique((pair_class[bounds[1]:] << m) | masks[bounds[1]:])
+    owner = key >> m
+    return owner, key & ((1 << m) - 1), np.bincount(owner, minlength=bounds.size - 1)
+
+
+def _union_terms(distinct: np.ndarray) -> int:
+    """sum_d (2^u_d - 1): the nonempty subsets of the classes' distinct pair masks."""
+    return sum((1 << int(n)) - 1 for n in distinct.tolist())
+
+
+def _subset_unions(owner: np.ndarray, mask: np.ndarray,
+                   distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonempty subset K of one class's distinct pair masks, over all classes:
+    (class, union of the masks in K, |K|), _union_terms(distinct) entries."""
+    rank = np.arange(owner.size) - (np.cumsum(distinct) - distinct)[owner]
+    table = np.zeros((distinct.size, int(distinct.max(initial=0))), dtype=np.int64)
+    table[owner, rank] = mask
+    cls = np.flatnonzero(distinct)
+    unions = np.zeros(cls.size, dtype=np.int64)
+    size = np.zeros(cls.size, dtype=np.int64)
+    for r in range(table.shape[1]):
+        grow = distinct[cls] > r
+        cls = np.concatenate((cls, cls[grow]))
+        unions = np.concatenate((unions, unions[grow] | table[cls[grow.size:], r]))
+        size = np.concatenate((size, size[grow] + 1))
+    nonempty = size > 0
+    return cls[nonempty], unions[nonempty], size[nonempty]
 
 
 def _subset_difference_counts(A: GSet) -> np.ndarray:
@@ -421,27 +480,12 @@ def _subset_difference_counts(A: GSet) -> np.ndarray:
     m = A.card
     n_masks = 1 << m
     masks, bounds = _pair_classes(A)
-    pair_class = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    # (i, j) and (j, i) share a mask, and one class, exactly when 2d = 0
-    key = np.unique((pair_class[bounds[1]:] << m) | masks[bounds[1]:])
-    key_owner, key_mask = key >> m, key & (n_masks - 1)
-    distinct = np.bincount(key_owner, minlength=bounds.size - 1)
-    if sum((1 << int(n)) - 1 for n in distinct.tolist()) > n_masks:
+    owner, pair_mask, distinct = _distinct_pairs(m, masks, bounds)
+    if _union_terms(distinct) > n_masks:
         return _class_sweep(m, masks, bounds, (np.arange(m + 1) > 0).astype(np.int64))
-    rank = np.arange(key.size) - (np.cumsum(distinct) - distinct)[key_owner]
-    table = np.zeros((bounds.size - 1, int(distinct.max(initial=0))), dtype=np.int64)
-    table[key_owner, rank] = key_mask
-    # terms of prod_p (1 - [p inside S]) per class: (union, sign); the empty union cancels
-    owner = np.flatnonzero(distinct)
-    unions = np.zeros(owner.size, dtype=np.int64)
-    odd = np.zeros(owner.size, dtype=bool)
-    for r in range(table.shape[1]):
-        grow = distinct[owner] > r
-        owner = np.concatenate((owner, owner[grow]))
-        unions = np.concatenate((unions, unions[grow] | table[owner[grow.size:], r]))
-        odd = np.concatenate((odd, ~odd[grow]))
-    h = (np.bincount(unions[odd], minlength=n_masks)
-         - np.bincount(unions[~odd & (unions != 0)], minlength=n_masks))
+    _cls, unions, size = _subset_unions(owner, pair_mask, distinct)
+    odd = (size & 1) == 1
+    h = np.bincount(unions[odd], minlength=n_masks) - np.bincount(unions[~odd], minlength=n_masks)
     out = _zeta(h, m)
     out[1:] += 1
     return out
@@ -458,7 +502,7 @@ def _subset_uniformity_counts(A: GSet, k: int) -> np.ndarray:
     independent routes.  (k - 1) m^2 2^m steps; int64 holds U_k(S) <= m^(k+1)."""
     m = A.card
     idx = np.arange(1 << m, dtype=np.uint32)
-    table = np.bitwise_count(idx).astype(np.int64) ** 2
+    table = _popcounts(1 << m).astype(np.int64) ** 2
     mem = A.members
     diffs = A.group.sub_indices(mem[:, None], mem[None, :]).reshape(-1)
     pairs = np.flatnonzero(diffs)  # h = 0 is S itself
@@ -500,27 +544,133 @@ def _select(A: GSet, table: np.ndarray, frac: float,
     """The minimum of a scan's ratio over the nonempty masks S with |S| >= frac |A|
     and the subset at the first mask attaining it: (inf, empty set) when none
     qualifies.  The ratio is table[S] * scale[|S|] / table[A], or table[S] / |S|
-    without a scale."""
+    without a scale.  It is taken at every mask, and the others are set to inf."""
     m = A.card
     sizes = _popcounts(1 << m)
-    eligible = sizes >= frac * m - 1e-9
-    eligible[0] = False
-    sel = np.flatnonzero(eligible)
-    ratios = np.full(1 << m, np.inf)
-    if scale is None:
-        ratios[sel] = table[sel] / sizes[sel]
-    else:
-        ratios[sel] = table[sel].astype(np.float64) * scale[sizes[sel]] / float(table[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at mask 0
+        if scale is None:
+            ratios = table / sizes
+        else:
+            ratios = table.astype(np.float64, copy=False) * scale[sizes] / float(table[-1])
+    ratios[~_eligible(m, frac)] = np.inf
     best = int(np.argmin(ratios))
     return float(ratios[best]), _decode(A, best)
 
 
+def _eligible(m: int, frac: float) -> np.ndarray:
+    """The masks a scan selects from: nonempty, with |S| >= frac m."""
+    out = _popcounts(1 << m) >= frac * m - 1e-9
+    out[0] = False
+    return out
+
+
+def _gamma_n(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53: the relative error bound of n float64
+    roundings (Higham, Accuracy and Stability of Numerical Algorithms, section 3.4)."""
+    nu = n * 2.0 ** -53
+    return nu / (1 - nu)
+
+
+def _forward_differences(values: np.ndarray) -> list[float]:
+    """Delta^j g(0) for j = 0 .. n - 1, where g(i) = values[i]: computed exactly from
+    the float values and rounded once each."""
+    row = [Fraction(v) for v in values.tolist()]
+    out = []
+    while row:
+        out.append(float(row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+def _power_sum_estimate(m: int, masks: np.ndarray, bounds: np.ndarray,
+                        lut: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """An estimate of E(S) = sum_d lut[cnt_d(S)] at every mask S and an a-priori
+    bound eps on its error: (est, eps), or None past 2^m terms.
+
+    A nonzero class d with u_d distinct pair masks q_1..q_u, w pairs per mask,
+    adds g(#{q_k inside S}) with g(n) = lut[w n], and by Newton's
+    forward-difference formula g(n) = sum_j C(n, j) Delta^j g(0), that is, the
+    sum over nonempty K of Delta^|K| g(0) [union of q_K inside S].  One float64
+    zeta transform of those weights, plus lut[|S|] for class 0, is the estimate.
+    Each weight w_K is rounded once, and each reaches a mask through at most
+    D = m + c additions (c: the most terms sharing a union, summed in a chain by
+    bincount; m zeta passes; the class-0 add), so the estimate is within
+    gamma_{D+1} (sum_K |w_K| + max lut[0..m]) of E(S) (Higham, section 4.2);
+    eps takes gamma_{D+4}, which covers the roundings of evaluating it."""
+    n_masks = 1 << m
+    owner, pair_mask, distinct = _distinct_pairs(m, masks, bounds)
+    if _union_terms(distinct) > n_masks:
+        return None
+    cls, unions, size = _subset_unions(owner, pair_mask, distinct)
+    per_mask = np.diff(bounds) // np.maximum(distinct, 1)  # w: 1, or 2 when 2d = 0
+    newton = np.zeros((3, int(distinct.max(initial=0)) + 1))
+    for w in (1, 2):
+        u = int(distinct[per_mask == w].max(initial=0))
+        newton[w, :u + 1] = _forward_differences(lut[:w * u + 1:w])
+    weights = newton[per_mask[cls], size]
+    chain = int(np.unique(unions, return_counts=True)[1].max(initial=0))
+    eps = _gamma_n(m + chain + 4) * (math.fsum(np.abs(weights).tolist()) + float(lut[:m + 1].max()))
+    est = _zeta(np.bincount(unions, weights, minlength=n_masks), m)
+    sizes = _popcounts(n_masks)
+    for c in range(0, n_masks, BOUND_CHUNK):  # class 0: cnt_0(S) = |S|
+        est[c:c + BOUND_CHUNK] += lut[sizes[c:c + BOUND_CHUNK]]
+    return est, eps
+
+
+def _fractional_gamma(A: GSet, alpha: float, beta: float,
+                      scale: np.ndarray) -> tuple[float, GSet] | None:
+    """connectedness_gamma at non-integer alpha, equal to the bit to
+    `_select(A, _subset_power_sums(A, alpha), beta, scale)`, in two phases, or
+    None past 2^m terms.
+
+    Phase 1 (`_power_sum_estimate`) gives every E(S) to within eps.  Phase 2: the
+    class sweep adds K class terms, so its value lies within gamma_{K-1} E(S) of
+    E(S), and the ratio rounds twice more (the scale multiply and the division
+    by the sweep's E(A)).  hi(S) = (est + eps) scale and lo(S) = (est - eps) scale,
+    each rounded twice, bound those ratios times E(A), and
+    lo(S) > (1 + 4 gamma_{K+8}) min hi puts S strictly above some eligible mask's
+    ratio.  So every minimizer is a candidate, the sweep on the candidates alone
+    reproduces their ratios, and its first argmin is the full scan's."""
+    m = A.card
+    n_masks = 1 << m
+    masks, bounds = _pair_classes(A)
+    lut = _power_lut(np.arange(int(np.diff(bounds).max()) + 1), alpha)
+    estimate = _power_sum_estimate(m, masks, bounds, lut)
+    if estimate is None:
+        return None
+    est, eps = estimate
+    sizes = _popcounts(n_masks)
+    eligible = _eligible(m, beta)
+    # the bounds a chunk of masks at a time, so no table but the estimate is 2^m long
+    parts = [slice(c, c + BOUND_CHUNK) for c in range(0, n_masks, BOUND_CHUNK)]
+    top = min(float(((est[part] + eps) * scale[sizes[part]])[eligible[part]].min(initial=math.inf))
+              for part in parts)
+    top *= 1 + 4 * _gamma_n(bounds.size + 7)
+    cand = np.flatnonzero(np.concatenate([
+        eligible[part] & ((est[part] - eps) * scale[sizes[part]] <= top) for part in parts]))
+    if not cand.size:
+        return math.inf, _decode(A, 0)
+
+    values = _class_sweep(m, masks, bounds, lut, np.append(cand, n_masks - 1))
+    ratios = values[:-1] * scale[sizes[cand]] / float(values[-1])
+    best = int(np.argmin(ratios))
+    return float(ratios[best]), _decode(A, int(cand[best]))
+
+
 def connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet]:
     """gamma = min over B subset of A with |B| >= beta |A| of
-    E_alpha(B) (|A|/|B|)^(2 alpha) / E_alpha(A), with its first minimizing witness."""
+    E_alpha(B) (|A|/|B|)^(2 alpha) / E_alpha(A), with its first minimizing witness.
+
+    The scale (|A|/|B|)^(2 alpha) is numpy's array power and must stay so: libm
+    pow rounds some of these values differently, and the frozen gammas, printed
+    with repr, were computed with this one."""
     _check_scan(A, SUBSET_SEARCH_CAP)
     m = A.card
     scale = (m / np.maximum(np.arange(m + 1.0), 1)) ** (2 * alpha)
+    if float(alpha) != int(alpha):
+        found = _fractional_gamma(A, float(alpha), beta, scale)
+        if found is not None:
+            return found
     return _select(A, _subset_power_sums(A, alpha), beta, scale)
 
 

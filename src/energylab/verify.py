@@ -14,7 +14,8 @@ counts, the per-shift |A -+ A_s| table, ...) are computed on first use and then
 held, and the two routes of an identity never share one.  `_evaluate` turns rows
 into CheckResults, a failed hypothesis or a BudgetError into a skip.  `run_corpus`
 runs all suites of an item on one profile, so `per_suite_seconds` charges a
-shared entry to the first suite that reads it, and counts skips by tag.
+shared entry to the first suite that reads it, and `per_tag_seconds` to the
+first row that reads it; it also counts skips by tag.
 
 The per-shift and per-trial entries (|A -+ A_s|, the slice masses of ratio.e4da,
 the two-shift sum, the seeded trials E(A, f)) run each family at once on the row
@@ -273,23 +274,28 @@ _ENTRIES = {
 }
 
 
-def _evaluate(rows: tuple, p: Profile) -> list[CheckResult]:
+def _evaluate(rows: tuple, p: Profile, seconds: dict | None = None) -> list[CheckResult]:
     """The CheckResults of the rows in row order: relation(*compute(p)), or for a
-    block (a tuple of rows as relation) its rows wherever compute(p) is true."""
+    block (a tuple of rows as relation) its rows wherever compute(p) is true.
+    With `seconds`, the wall time of each row is added to seconds[tag]; a block
+    has no tag, and its rows are charged to theirs."""
     out: list[CheckResult] = []
     for tag, name, relation, compute in rows:
+        t0 = time.perf_counter()
         try:
             got = compute(p)
         except (_Skip, BudgetError, AssertionError) as err:
             # an AssertionError is an internal cross-check or audit that disagreed
             status = "fail" if isinstance(err, AssertionError) else "skip"
             out.append(CheckResult(name, tag, "", "", status, None, str(err)))
-            continue
-        if isinstance(relation, tuple):
-            if got:
-                out += _evaluate(relation, p)
         else:
+            if isinstance(relation, tuple):
+                if got:
+                    out += _evaluate(relation, p, seconds)
+                continue
             out.append(CheckResult(name, tag, *relation(*got)))
+        if seconds is not None:
+            seconds[tag] = seconds.get(tag, 0.0) + time.perf_counter() - t0
     return out
 
 
@@ -639,8 +645,8 @@ _SUITES = {"identity": _IDENTITY, "inequality": _INEQUALITY, "ratio": _RATIO,
            "algorithms": _ALGORITHMS}
 
 
-def _run(suite: str, p: Profile) -> list[CheckResult]:
-    out = _evaluate(_SUITES[suite], p)
+def _run(suite: str, p: Profile, seconds: dict | None = None) -> list[CheckResult]:
+    out = _evaluate(_SUITES[suite], p, seconds)
     return out if suite == "algorithms" else sorted(out, key=lambda r: r.name)
 
 
@@ -735,12 +741,13 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
     failures: list[dict] = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "report": 0}
     per_suite = dict.fromkeys(_SUITES, 0.0)
+    per_tag: dict[str, float] = {}
     skips: dict[str, int] = {}
     for item in items:
         p = Profile(item.A, item.B, config, item.name)
         for suite in _SUITES:
             ts = time.monotonic()
-            results = _run(suite, p)
+            results = _run(suite, p, per_tag)
             per_suite[suite] += time.monotonic() - ts
             for r in results:
                 counts[r.status] += 1
@@ -754,6 +761,7 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
         "failures": failures,
         "seconds": time.monotonic() - t0,
         "per_suite_seconds": per_suite,
+        "per_tag_seconds": per_tag,
         "skips_by_tag": skips,
     }
     if include_random_family:

@@ -4,7 +4,13 @@ the class sweep), |B - B| of every subset (inclusion-exclusion transform, and
 the class sweep) and the order-k uniformity count of every subset (the mask
 slice recursion); the float class sweep against the per-class loop it
 replaced, to the bit; the uniformity scan against the per-subset loop it
-replaced, to the bit; the int64 escalation; and the scans' peak memory."""
+replaced, to the bit; the int64 escalation; and the scans' peak memory.
+
+Non-integer alpha takes two phases: a float zeta estimate with an error bound,
+then the class sweep on the candidate masks only, or the full sweep past 2^m
+terms.  Its estimate is checked against correctly rounded sums to within its
+bound, its gamma and witness against an argmin taken here over the per-class
+loop, to the bit, on tie-heavy sets too, and its route on each side."""
 
 import math
 import tracemalloc
@@ -12,12 +18,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from energylab.constructors import arithmetic_progression
+from energylab import structure
+from energylab.constructors import arithmetic_progression, subspace
 from energylab.energy import energy_k
 from energylab.gowers import gowers_u
 from energylab.group import make_group
 from energylab.setfun import GSet, difference_set
-from energylab.structure import (_class_sweep, _pair_classes, _popcounts, _subset_difference_counts,
+from energylab.structure import (_class_sweep, _pair_classes, _popcounts, _power_lut,
+                                 _power_sum_estimate, _subset_difference_counts,
                                  _subset_power_sums, _subset_uniformity_counts, _tuple_unions,
                                  _zeta, connectedness_gamma, gowers_connectedness_gamma,
                                  small_doubling_subset_oracle)
@@ -219,3 +227,120 @@ def test_scan_peak_memory_at_m18():
     assert _peak_bytes(lambda: connectedness_gamma(A, 1.5, 0.5)) < 24 * 2 ** 20
     assert _peak_bytes(lambda: small_doubling_subset_oracle(A, 0.5)) < 24 * 2 ** 20
     assert _peak_bytes(lambda: gowers_connectedness_gamma(A, 3, 0.5)) < 24 * 2 ** 20
+
+
+def test_fractional_scan_peak_memory_at_m18(monkeypatch):
+    """The two-phase scan holds one 2^m float table, the estimate; the bounds are
+    taken a chunk at a time and the class sweep runs on the candidates only."""
+    A = _draw((101,), 18, 3)
+    swept = _sweep_sizes(monkeypatch)
+    assert _peak_bytes(lambda: connectedness_gamma(A, 1.5, 0.5)) < 8 * 2 ** 20
+    assert len(swept) == 1 and swept[0] < 1 << 10
+
+
+# -- fractional alpha: the two-phase scan -----------------------------------------------
+
+# subgroups of F_2^4 and F_2^5 (every class has 2d = 0, and many subsets tie) and an
+# AP in Z_256, whose classes put it past 2^m terms
+TIE_SETS = [subspace(4, 3), subspace(4, 4), subspace(5, 4), arithmetic_progression(256, 0, 16, 12)]
+FRACTIONAL_SETS = SCAN_SETS + TIE_SETS
+
+
+def _reference_class_counts(A):
+    """cnt_d(S) for every difference class d (ascending) and mask S, from the
+    pairwise difference table."""
+    g, mem = A.group, A.members
+    m = mem.size
+    diffs = g.sub_indices(np.repeat(mem, m), np.tile(mem, m)).reshape(m, m)
+    _uniq, classes = np.unique(diffs, return_inverse=True)
+    masks = np.arange(1 << m, dtype=np.int64)
+    counts = np.zeros((classes.max() + 1, 1 << m), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            counts[classes[i, j]] += (masks >> i) & (masks >> j) & 1
+    return counts
+
+
+def _reference_gamma(A, alpha, beta, table):
+    """The first argmin of gamma's ratio over a full table of E_alpha, taken here."""
+    m = A.card
+    sizes = np.array([bin(s).count("1") for s in range(1 << m)])
+    scale = (m / np.maximum(np.arange(m + 1.0), 1)) ** (2 * alpha)
+    ratios = table * scale[sizes] / table[-1]
+    ratios[(sizes == 0) | (sizes < beta * m - 1e-9)] = np.inf
+    best = int(np.argmin(ratios))
+    return float(ratios[best]), _subset(A, best)
+
+
+def _sweep_sizes(monkeypatch):
+    """The number of masks of every class sweep run from here on."""
+    sizes = []
+    real = structure._class_sweep
+
+    def spy(m, masks, bounds, lut, at=None):
+        sizes.append(1 << m if at is None else at.size)
+        return real(m, masks, bounds, lut, at)
+
+    monkeypatch.setattr(structure, "_class_sweep", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("A", FRACTIONAL_SETS, ids=lambda A: f"{A.group}-{A.card}")
+def test_fractional_gamma_matches_the_reference_argmin(A):
+    for alpha in (0.5, 1.25, 1.5, 2.5):
+        table = _reference_float_power_sums(A, alpha)
+        # beta = 1 leaves only A eligible, beta = 1.5 no mask at all
+        for beta in (0.3, 0.5, 2 / 3, 1.0, 1.5):
+            gamma, witness = connectedness_gamma(A, alpha, beta)
+            want_gamma, want_witness = _reference_gamma(A, alpha, beta, table)
+            assert gamma.hex() == want_gamma.hex()
+            assert witness == want_witness
+
+
+@pytest.mark.parametrize("A", FRACTIONAL_SETS, ids=lambda A: f"{A.group}-{A.card}")
+def test_estimate_is_within_its_bound(A):
+    """|est(S) - E(S)| <= eps at every mask, E(S) taken as the correctly rounded
+    sum of the class terms (within one rounding of the exact sum)."""
+    m = A.card
+    masks, bounds = _pair_classes(A)
+    counts = _reference_class_counts(A)
+    for alpha in (0.5, 1.25, 1.5, 2.5):
+        lut = _power_lut(np.arange(int(np.diff(bounds).max()) + 1), alpha)
+        estimate = _power_sum_estimate(m, masks, bounds, lut)
+        if estimate is None:
+            continue
+        est, eps = estimate
+        exact = np.array([math.fsum(lut[counts[:, s]].tolist()) for s in range(1 << m)])
+        assert np.all(np.abs(est - exact) <= eps + 2.0 ** -53 * exact)
+        assert eps < 1e-9 * exact[-1]
+
+
+def test_fractional_routes_are_covered():
+    """The sets above put the two-phase scan on each side of its term count."""
+    routes = set()
+    for A in FRACTIONAL_SETS:
+        masks, bounds = _pair_classes(A)
+        routes.add(_power_sum_estimate(A.card, masks, bounds, _power_lut(np.arange(A.card ** 2 + 1), 1.5))
+                   is not None)
+    assert routes == {True, False}
+
+
+def test_fractional_fallback_sweeps_every_mask(monkeypatch):
+    A = arithmetic_progression(31, 2, 5, 9)  # 2 (2^9 - 10) terms, past 2^9
+    swept = _sweep_sizes(monkeypatch)
+    gamma, witness = connectedness_gamma(A, 1.5, 0.5)
+    assert swept == [1 << 9]
+    want = _reference_gamma(A, 1.5, 0.5, _reference_float_power_sums(A, 1.5))
+    assert (gamma.hex(), witness) == (want[0].hex(), want[1])
+
+
+@pytest.mark.parametrize("factors,m", [((101,), 18), ((256,), 16), ((2,) * 8, 14)])
+def test_scan_small_shapes_take_the_two_phase_route(monkeypatch, factors, m):
+    """On the scan-small shapes the class sweep runs on the candidates and the
+    full set only, never on all 2^m masks."""
+    A = _draw(factors, m, 11)
+    swept = _sweep_sizes(monkeypatch)
+    gamma, witness = connectedness_gamma(A, 1.5, 0.5)
+    assert len(swept) == 1 and swept[0] < 1 << 10
+    want = _reference_gamma(A, 1.5, 0.5, _reference_float_power_sums(A, 1.5))
+    assert (gamma.hex(), witness) == (want[0].hex(), want[1])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import time
 import weakref
 import zlib
 
@@ -281,3 +282,42 @@ def test_seeded_trials_keep_their_draws(name):
     assert list(zip(*got_a)) == on_a
     assert list(zip(*got_ap)) == on_ap
     assert got_tuples == tuples
+
+
+def test_per_tag_seconds_charge_each_row_to_its_tag(monkeypatch):
+    """`_evaluate` adds each row's wall time to its tag, a block's rows to theirs
+    and a skipped row's time too; without a dict nothing is recorded, and the
+    rows are the same either way."""
+    def slow(p):
+        time.sleep(0.02)
+        return 1, 1
+
+    def skipped(p):
+        time.sleep(0.01)
+        raise verify._Skip("hypothesis fails")
+
+    rows = (("t.slow", "slow", verify._EQ, slow),
+            verify._when(lambda p: True, ("t.inner", "inner", verify._EQ, slow)),
+            verify._when(lambda p: False, ("t.left_out", "left out", verify._EQ, slow)),
+            ("t.skip", "skip", verify._EQ, skipped))
+    seconds: dict[str, float] = {}
+    timed = verify._evaluate(rows, None, seconds)
+    assert timed == verify._evaluate(rows, None)
+    assert [r.status for r in timed] == ["pass", "pass", "skip"]
+    assert set(seconds) == {"t.slow", "t.inner", "t.skip"}
+    assert seconds["t.slow"] >= 0.02 and seconds["t.inner"] >= 0.02 and seconds["t.skip"] >= 0.01
+
+
+def test_corpus_summary_reports_per_tag_seconds():
+    """`run_corpus` reports seconds per tag over every row it ran; CheckResults
+    carry no time, so their fields and digests are unchanged."""
+    summary = verify.run_corpus(seeds=0, include_random_family=False)
+    per_tag = summary["per_tag_seconds"]
+    rows = [r for item in frozen_corpus(0)
+            for r in run_identity_suite(item.A, item.B) + run_inequality_suite(item.A, item.B)
+            + run_ratio_report(item.A) + run_algorithm_audits(item)]
+    assert set(per_tag) == {r.tag for r in rows}
+    assert all(s >= 0 for s in per_tag.values())
+    assert sum(per_tag.values()) <= sum(summary["per_suite_seconds"].values())
+    assert set(CheckResult("n", "t", "1", "1", "pass").to_dict()) == {
+        "name", "tag", "lhs", "rhs", "status", "ratio", "note"}

@@ -8,8 +8,9 @@ recovers the additive energy.  The normalized value is (count / N^{d+1})^{1/2^d}
 The recursion runs on the level-synchronous slice frontier of `setfun`, with
 each slice as its own partner: d - 2 levels of unique slices X cap (X - h)
 with exact multiplicities, then one pass summing |X cap (X - h)|^2 over the
-last level.  It forms the pairs of members itself, so it shares no code with
-the correlation and energy routes it is checked against.
+last level; counts on one set share its levels, held in the set's cache.  It
+forms the pairs of members itself, so it shares no code with the correlation
+and energy routes (and the per-shift `gowers_pair_u3`) it is checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import GSet, _exact_sum, _Frontier, _same_group, set_correlate
+from .setfun import GSet, _exact_sum, _frontier, _same_group, set_correlate
 
 GOWERS_MAX_ORDER = 6
 MONOTONICITY_SLACK = 1e-12
@@ -46,8 +47,7 @@ def gowers_u(A: GSet, d: int) -> GowersValue:
     elif d == 1:
         count = A.card * A.card
     else:
-        frontier = _Frontier(A, d - 2, self_partner=True)
-        count = frontier.total(A.group.sub_indices, square=True, tick=False)
+        count = _frontier(A, self_partner=True).total(d - 2, "-", square=True)
     N = A.group.size
     normalized = (count / N ** (d + 1)) ** (1.0 / (1 << d))
     return GowersValue(count=count, d=d, normalized=normalized)

@@ -19,11 +19,12 @@ below 2^24, so every partial sum is an exact integer, and one `_conv_exact` per
 row otherwise.  A slice table's Gram matrix (`SliceRows.gram`) counts rows: exact in float32.
 
 A set is a boolean membership array over the group's indices; that is its only
-representation.  The tuple-indexed counts, and the uniformity counts of
-`gowers`, run on one level-synchronous slice frontier (`_Frontier`): each level
-holds the unique slices with exact multiplicities and is built from the pairs
-of members in bounded chunks.  Their node budget counts one node per (unique
-slice, shift) expansion.
+representation, and `GSet.cache` its one cache of derived quantities.  The
+tuple-indexed counts, and the uniformity counts of `gowers`, run on the set's
+two level-synchronous slice frontiers (`_frontier`): each level holds the unique
+slices with exact multiplicities, is built once from the pairs of members in
+bounded chunks and is kept.  Their node budget counts one node per (unique
+slice, shift) expansion, kept ones included.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class BudgetError(RuntimeError):
 class GSet:
     """A subset of a group: flat boolean membership array plus cached cardinality."""
 
-    __slots__ = ("group", "mask", "_card", "_members", "_bytes")
+    __slots__ = ("group", "mask", "_card", "_members", "_bytes", "cache", "__weakref__")
 
     def __init__(self, group: GroupSpec, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool).reshape(group.size)
@@ -57,6 +58,7 @@ class GSet:
         self._card: int | None = None
         self._members: np.ndarray | None = None
         self._bytes: bytes | None = None
+        self.cache: dict = {}  # derived quantities: slice frontiers, `verify.Profile` entries
 
     # -- constructors ---------------------------------------------------------
 
@@ -536,43 +538,43 @@ def _merge_rows(parts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
     return C[order[first]], np.add.reduceat(m[order], first)
 
 
+def _spend(nodes: int, n: int, budget: int | None) -> int:
+    """nodes + n, raising BudgetError when that exceeds the budget (None: no cap)."""
+    nodes += n
+    if budget is not None and nodes > budget:
+        raise BudgetError(f"slice-tuple enumeration exceeded budget ({budget} nodes)")
+    return nodes
+
+
 class _Frontier:
     """Level-synchronous slice expansion behind the slice-tuple and uniformity counts.
 
-    A level holds the unique slices X reached after `depth` shifts, each with
-    the exact number of shift tuples reaching it.  `blocks` maps a size k to a
-    (rows, k) array of sorted members and the rows' multiplicities.  Expanding
-    replaces every X by its children X cap (P - s), s in P - X (exactly the
-    shifts with a nonempty child), where the partner P is A for the slice-tuple
-    counts and X itself for the uniformity counts; equal children merge and add
-    their multiplicities.  A child's members are the x of the pairs (x in X,
-    y in P) with y - x = s, so one pass over the pairs, grouped by (row, s),
-    builds a whole level.
+    Level k holds the unique slices X reached after k shifts, each with the
+    exact number of shift tuples reaching it, as a dict mapping a size k to a
+    (rows, k) array of sorted members and the rows' multiplicities; level 0 is
+    {A}.  Expanding replaces every X by its children X cap (P - s), s in P - X
+    (exactly the shifts with a nonempty child), where the partner P is A for
+    the slice-tuple counts and X itself for the uniformity counts; equal
+    children merge and add their multiplicities.  A child's members are the x
+    of the pairs (x in X, y in P) with y - x = s, so one pass over the pairs,
+    grouped by (row, s), builds a whole level.
 
-    The constructor expands `levels` times from {A}.  One node is one (unique
-    slice, shift) expansion, so the node total does not depend on the chunking;
-    `budget` caps it, final pass included.
+    Every level built is kept with `nodes[k]`, the nodes of levels 1..k, and every
+    total with its own.  One node is one (unique slice, shift) expansion, so the
+    counts do not depend on the chunking; a budget caps them, kept ones and the
+    final pass included, and a level over the budget is never kept.
     Pairs are formed at most FRONTIER_CHUNK at a time; a row with more pairs
     than that is handled alone, its members in slices and its children from
     boolean masks, a block of shifts at a time.
     """
 
-    def __init__(self, A: GSet, levels: int, self_partner: bool = False,
-                 budget: int | None = None):
+    def __init__(self, A: GSet, self_partner: bool):
         self.group = A.group
         self.partner = None if self_partner else A.members
         self.partner_mask = None if self_partner else A.mask
-        self.budget = budget
-        self.nodes = 0
-        self.depth = 0
-        self.blocks = {A.card: (A.members[None, :], np.ones(1, dtype=np.int64))}
-        for _ in range(levels):
-            self._expand()
-
-    def _tick(self, n: int) -> None:
-        self.nodes += n
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetError(f"slice-tuple enumeration exceeded budget ({self.budget} nodes)")
+        self.levels = [{A.card: (A.members[None, :], np.ones(1, dtype=np.int64))}]
+        self.nodes = [0]
+        self.totals: dict[tuple, tuple[int, int]] = {}
 
     def _width(self, k: int) -> int:
         """Partner size of a row with k members."""
@@ -625,14 +627,14 @@ class _Frontier:
             members.append(np.nonzero(moved & own)[1])
         return np.zeros(shifts.size, dtype=np.int64), counts[shifts], np.concatenate(members)
 
-    def _expand(self) -> None:
-        """Replace the level by its children, one shift deeper."""
+    def _expand(self, budget: int | None) -> None:
+        """Append the children of the last level, one shift deeper."""
         g = self.group
         N = g.size
-        self.depth += 1
-        big = N ** self.depth >= INT64_SAFE_BOUND
+        big = N ** len(self.levels) >= INT64_SAFE_BOUND
+        nodes = self.nodes[-1]
         found: dict[int, list] = {}
-        for M, mult in self.blocks.values():
+        for M, mult in self.levels[-1].values():
             if big:
                 mult = mult.astype(object)
             for lo, hi, alone in self._chunks(M):
@@ -647,7 +649,7 @@ class _Frontier:
                     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
                     sizes = np.diff(np.r_[first, key.size])
                     rows = key[first] // N
-                self._tick(sizes.size)
+                nodes = _spend(nodes, sizes.size, budget)
                 # children of one size k become a (count, k) member array
                 starts = np.cumsum(sizes) - sizes
                 m = mult[lo + rows]
@@ -659,14 +661,27 @@ class _Frontier:
                     k = int(ordered[a])
                     found.setdefault(k, []).append(
                         (xs[starts[sel][:, None] + np.arange(k)], m[sel]))
-        self.blocks = {k: _merge_rows(parts, N) for k, parts in found.items()}
+        self.levels.append({k: _merge_rows(parts, N) for k, parts in found.items()})
+        self.nodes.append(nodes)
 
-    def total(self, op, square: bool, tick: bool) -> int:
-        """Sum over rows X of mult(X) times the number of distinct op(y, x), or with
-        `square` the sum of squared pair counts per value, over x in X, y in its partner."""
+    def total(self, depth: int, sign: str, square: bool, budget: int | None = None,
+              tick: bool = False) -> int:
+        """Sum over the rows X of level `depth` of mult(X) times the number of
+        distinct y -+ x, or with `square` the sum of squared pair counts per value,
+        over x in X, y in its partner.  `budget` caps the nodes of the levels, and
+        with `tick` also the total's own: one per (row, value)."""
+        while len(self.levels) <= depth:
+            self._expand(budget)
+        nodes = _spend(self.nodes[depth], 0, budget)
+        cap = budget if tick else None
+        if (depth, sign, square) in self.totals:
+            total, nodes = self.totals[depth, sign, square]
+            _spend(nodes, 0, cap)
+            return total
         N = self.group.size
+        op = self.group.sub_indices if sign == "-" else self.group.add_indices
         total = 0
-        for M, mult in self.blocks.values():
+        for M, mult in self.levels[depth].values():
             for lo, hi, alone in self._chunks(M):
                 if alone:
                     counts = self._row_counts(M[lo], op)
@@ -683,10 +698,16 @@ class _Frontier:
                     else:
                         rows, counts = np.unique(key, return_counts=True)
                     rows //= N
-                if tick:
-                    self._tick(counts.size)
+                nodes = _spend(nodes, counts.size, cap)
                 total += _exact_sum(counts, 2 if square else 0, mult[lo + rows])
+        self.totals[depth, sign, square] = total, nodes
         return total
+
+
+def _frontier(A: GSet, self_partner: bool = False) -> _Frontier:
+    """A's slice frontier (A as the partner, or each slice as its own), held in its cache."""
+    key = ("frontier", self_partner)
+    return A.cache.get(key) or A.cache.setdefault(key, _Frontier(A, self_partner))
 
 
 def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) -> int:
@@ -700,8 +721,8 @@ def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) 
         return 0
     if arity == 0:
         return 1
-    frontier = _Frontier(A, arity - 1, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
-    return frontier.total(A.group.sub_indices, square=False, tick=True)
+    return _frontier(A).total(arity - 1, "-", False,
+                              DEFAULT_NODE_BUDGET if budget is None else budget, tick=True)
 
 
 def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> int:
@@ -750,9 +771,7 @@ def tuple_sumset_sum(A: GSet, arity: int, sign: str, budget: int | None = None) 
         raise ValueError("sign must be '+' or '-'")
     if not A.card:
         return 0
-    frontier = _Frontier(A, arity, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
-    g = A.group
-    return frontier.total(g.sub_indices if sign == "-" else g.add_indices, square=False, tick=False)
+    return _frontier(A).total(arity, sign, False, DEFAULT_NODE_BUDGET if budget is None else budget)
 
 
 # -- inclusion checks -----------------------------------------------------------

@@ -8,14 +8,14 @@ Inequality entries are theorems: any applicable entry that fails indicates a
 bug.  Entries whose hypotheses do not hold on an instance are skipped with the
 reason recorded.  Ratio entries never fail a run.
 
-Each suite is a tuple of check rows (tag, name, relation, compute) over one lazy
-`Profile` per instance: its entries (A o A, A - A, E_k, gamma, the uniformity
-counts, the per-shift |A -+ A_s| table, ...) are computed on first use and then
-held, and the two routes of an identity never share one.  `_evaluate` turns rows
-into CheckResults, a failed hypothesis or a BudgetError into a skip.  `run_corpus`
-runs all suites of an item on one profile, so `per_suite_seconds` charges a
-shared entry to the first suite that reads it, and `per_tag_seconds` to the
-first row that reads it; it also counts skips by tag.
+Each suite is a tuple of check rows (tag, name, relation, compute) over a lazy
+`Profile`, a view of the set's cache: its entries (A o A, A - A, E_k, gamma, the
+uniformity counts, the |A -+ A_s| table, ...) are computed on first use and held
+on the set for every suite call on it; the two routes of an identity never share
+one.  `_evaluate` turns rows into CheckResults, a failed hypothesis or a
+BudgetError into a skip.  `run_corpus` runs the suites item by item, letting go
+of each after, and charges an entry's time to `per_entry_seconds`, the rest of a
+row's to `per_tag_seconds`, and a suite's to its suite; it counts skips by tag.
 
 The per-shift and per-trial entries (|A -+ A_s|, the slice masses of ratio.e4da,
 the two-shift sum, the seeded trials E(A, f)) run each family at once on the row
@@ -33,7 +33,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -157,8 +157,9 @@ def _when(applies, *rows) -> tuple:
 
 class Profile:
     """The derived quantities of one instance (A, B): each entry of _ENTRIES is
-    computed on first use and then held.  B defaults to A; `name` labels the
-    algorithm-audit notes."""
+    computed on first use and held in A's cache for every profile of A.  B
+    defaults to A; `name` labels the algorithm-audit notes.  `seconds` holds each
+    entry's compute time less that of the entries it reads first."""
 
     def __init__(self, A: GSet, B: GSet | None = None, config: VerifyConfig | None = None,
                  name: str = ""):
@@ -167,14 +168,28 @@ class Profile:
         self.seed = (config or VerifyConfig()).seed
         self.name = name
         self.a = A.card
+        self.seconds: dict[str, float] = {}
+        self.spent = 0.0  # seconds of the entries computed through this view
 
     def __getattr__(self, entry: str):
-        # only reached while the entry is not yet held
+        # only reached for the names that are not attributes
         if entry not in _ENTRIES:
             raise AttributeError(entry)
-        value = _ENTRIES[entry](self)
-        setattr(self, entry, value)
-        return value
+        return partial(self._held, entry) if entry in ("E", "U", "gamma") else self._held(entry)
+
+    def _held(self, entry: str, *args):
+        key = (entry, *args, *_KEYED_BY.get(entry, lambda p: ())(self))
+        if key not in self.A.cache:
+            t0, spent = time.perf_counter(), self.spent
+            value = _ENTRIES[entry](self, *args)
+            own = time.perf_counter() - t0 - (self.spent - spent)
+            self.spent += own
+            label = f"{entry}({args[0]})" if args else entry
+            self.seconds[label] = self.seconds.get(label, 0.0) + own
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self.A.cache[key] = value
+        return self.A.cache[key]
 
 
 def _slice_sumsets(p: Profile) -> dict[int, tuple[int, int]]:
@@ -248,13 +263,12 @@ def _seeded_trials(p: Profile) -> tuple[int, int, bool]:
     return worst_a, worst_ap, all(katz_koester_check(p.A, t) for t in [[], *tuples])
 
 
-# profile entries: name -> the call that computes it; E(k), U(d) and gamma(alpha)
-# (at beta = 1/2) hold one value per argument.  No entry refers back to the
-# profile, so a profile is freed as soon as its last user lets go of it.
+# profile entries: name -> the call that computes it.  No entry refers back to
+# the set or the view, so a set and its cache are freed with its last user.
 _ENTRIES = {
-    "E": lambda p: cache(lambda k, A=p.A: energy_k(A, k).value),
-    "U": lambda p: cache(lambda d, A=p.A: gowers_u(A, d).count),
-    "gamma": lambda p: cache(lambda alpha, A=p.A: connectedness_gamma(A, alpha, 0.5)[0]),
+    "E": lambda p, k: energy_k(p.A, k).value,
+    "U": lambda p, d: gowers_u(p.A, d).count,
+    "gamma": lambda p, alpha: connectedness_gamma(p.A, alpha, 0.5)[0],
     "ca": lambda p: set_correlate(p.A, p.A),
     "D": lambda p: difference_set(p.A, p.A),
     "S": lambda p: sumset(p.A, p.A),
@@ -272,16 +286,18 @@ _ENTRIES = {
     "e4da": _e4da,
     "seeded_trials": _seeded_trials,
 }
+# E, U and gamma (at beta = 1/2) are held per argument; these also per B or per seed
+_KEYED_BY = {"e_ab": lambda p: (p.B.key(),), "seeded_trials": lambda p: (p.seed,)}
 
 
 def _evaluate(rows: tuple, p: Profile, seconds: dict | None = None) -> list[CheckResult]:
     """The CheckResults of the rows in row order: relation(*compute(p)), or for a
     block (a tuple of rows as relation) its rows wherever compute(p) is true.
-    With `seconds`, the wall time of each row is added to seconds[tag]; a block
-    has no tag, and its rows are charged to theirs."""
+    With `seconds`, each row's wall time less its entries' is added to
+    seconds[tag]; a block has no tag, and its rows are charged to theirs."""
     out: list[CheckResult] = []
     for tag, name, relation, compute in rows:
-        t0 = time.perf_counter()
+        t0 = time.perf_counter() - getattr(p, "spent", 0.0)
         try:
             got = compute(p)
         except (_Skip, BudgetError, AssertionError) as err:
@@ -295,7 +311,8 @@ def _evaluate(rows: tuple, p: Profile, seconds: dict | None = None) -> list[Chec
                 continue
             out.append(CheckResult(name, tag, *relation(*got)))
         if seconds is not None:
-            seconds[tag] = seconds.get(tag, 0.0) + time.perf_counter() - t0
+            t1 = time.perf_counter() - getattr(p, "spent", 0.0)
+            seconds[tag] = seconds.get(tag, 0.0) + t1 - t0
     return out
 
 
@@ -735,16 +752,19 @@ def random_family_acceptance_instance(seed: int = 7) -> dict:
 def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
                include_random_family: bool = True) -> dict:
     """Run the identity, inequality, ratio and algorithm suites over the frozen
-    corpus, item by item on one profile per item, and summarize."""
+    corpus, item by item, letting go of each item (and its caches), and summarize."""
     t0 = time.monotonic()
     items = frozen_corpus(seeds)
     failures: list[dict] = []
     counts = {"pass": 0, "fail": 0, "skip": 0, "report": 0}
     per_suite = dict.fromkeys(_SUITES, 0.0)
     per_tag: dict[str, float] = {}
+    per_entry: dict[str, float] = {}
     skips: dict[str, int] = {}
-    for item in items:
+    for i, item in enumerate(items):
+        items[i] = None  # the item, and its caches, go once its suites have run
         p = Profile(item.A, item.B, config, item.name)
+        p.seconds = per_entry
         for suite in _SUITES:
             ts = time.monotonic()
             results = _run(suite, p, per_tag)
@@ -762,6 +782,7 @@ def run_corpus(seeds: int = 100, config: VerifyConfig | None = None,
         "seconds": time.monotonic() - t0,
         "per_suite_seconds": per_suite,
         "per_tag_seconds": per_tag,
+        "per_entry_seconds": per_entry,
         "skips_by_tag": skips,
     }
     if include_random_family:

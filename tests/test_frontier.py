@@ -3,10 +3,13 @@
 Hypothesis examples compare all four counts with the brute oracles of conftest
 on mixed and cyclic groups, with members anywhere in [0, N).  Each example also
 runs with a pair cap of 1, which sends every row through the over-the-cap path
-(members in slices, children from boolean masks).
+(members in slices, children from boolean masks).  A set keeps the frontier
+levels and totals it has computed, so every cap, and every lowered int64 bound,
+gets a fresh set: on the same set the cached value would come back unchecked.
 
 NODES pins the node counts of the memoised depth-first recursion that the
-frontier replaced: a budget equal to the count must pass and one less must raise.
+frontier replaced: a budget equal to the count must pass and one less must raise,
+whether the levels are built by the call or were cached by an earlier one.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import energylab.setfun as setfun
+import energylab.verify as verify
 from conftest import brute_delta_count, brute_gowers_count
 from energylab.constructors import random_set
 from energylab.energy import energy_k
@@ -47,24 +51,24 @@ def pair_cap(cap):
         setfun.FRONTIER_CHUNK = saved
 
 
-def under_both_caps(fn):
-    """fn() under the default pair cap; the same value must come out under a cap of 1."""
-    got = fn()
-    with pair_cap(1):
-        assert fn() == got
-    return got
-
-
 def _gset(factors, members):
     return GSet.from_indices(make_group(list(factors)), members)
+
+
+def under_both_caps(fn, factors, members):
+    """fn(A) on a fresh set A under the default pair cap; the same value must
+    come out on another fresh set under a cap of 1."""
+    got = fn(_gset(factors, members))
+    with pair_cap(1):
+        assert fn(_gset(factors, members)) == got
+    return got
 
 
 @given(small_sets(), st.integers(1, 3))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_slice_tuple_count_matches_brute(data, arity):
     factors, members = data
-    A = _gset(factors, members)
-    got = under_both_caps(lambda: count_nonempty_slice_tuples(A, arity))
+    got = under_both_caps(lambda A: count_nonempty_slice_tuples(A, arity), factors, members)
     assert got == brute_delta_count(factors, members, arity, "-")
 
 
@@ -72,8 +76,7 @@ def test_slice_tuple_count_matches_brute(data, arity):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_tuple_sumset_sum_matches_brute(data, arity, sign):
     factors, members = data
-    A = _gset(factors, members)
-    got = under_both_caps(lambda: tuple_sumset_sum(A, arity, sign))
+    got = under_both_caps(lambda A: tuple_sumset_sum(A, arity, sign), factors, members)
     assert got == brute_delta_count(factors, members, arity + 1, sign)
 
 
@@ -81,11 +84,10 @@ def test_tuple_sumset_sum_matches_brute(data, arity, sign):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_delta_sumset_size_matches_brute(data, n, sign):
     factors, members = data
-    A = _gset(factors, members)
     want = brute_delta_count(factors, members, n, sign)
-    assert under_both_caps(lambda: delta_sumset_size(A, n, sign)) == want
+    assert under_both_caps(lambda A: delta_sumset_size(A, n, sign), factors, members) == want
     if n == 2:
-        assert delta_pairs_direct(A, sign) == want
+        assert delta_pairs_direct(_gset(factors, members), sign) == want
 
 
 @given(small_sets(), st.integers(1, 3))
@@ -94,8 +96,7 @@ def test_gowers_count_matches_brute(data, d):
     factors, members = data
     if d == 3 and math.prod(factors) > 11:
         d = 2  # keeps the N^4 brute sweep short
-    A = _gset(factors, members)
-    got = under_both_caps(lambda: gowers_u(A, d).count)
+    got = under_both_caps(lambda A: gowers_u(A, d).count, factors, members)
     assert got == brute_gowers_count(factors, members, d)
 
 
@@ -133,33 +134,94 @@ NODES = [
 ]
 
 
+def _budgeted_calls(arity):
+    return [lambda A, b: count_nonempty_slice_tuples(A, arity, budget=b),
+            lambda A, b: tuple_sumset_sum(A, arity, "-", budget=b),
+            lambda A, b: tuple_sumset_sum(A, arity, "+", budget=b)]
+
+
 @pytest.mark.parametrize("factors,spec,arity,nodes", NODES)
 def test_budget_fires_exactly_past_the_node_count(factors, spec, arity, nodes):
-    A = _pinned_set(factors, spec)
-    calls = [lambda b: count_nonempty_slice_tuples(A, arity, budget=b),
-             lambda b: tuple_sumset_sum(A, arity, "-", budget=b),
-             lambda b: tuple_sumset_sum(A, arity, "+", budget=b)]
-    caps = [setfun.FRONTIER_CHUNK, 1] if A.group.size <= 18 else [setfun.FRONTIER_CHUNK]
+    caps = [setfun.FRONTIER_CHUNK, 1] if math.prod(factors) <= 18 else [setfun.FRONTIER_CHUNK]
     for cap in caps:
         with pair_cap(cap):
-            for call in calls:
-                call(nodes)
+            for call in _budgeted_calls(arity):
+                # on a fresh set the budget fires while the counts are built, then
+                # on the counts the set keeps
+                A = _pinned_set(factors, spec)
                 with pytest.raises(BudgetError):
-                    call(nodes - 1)
+                    call(A, nodes - 1)
+                call(A, nodes)
+                with pytest.raises(BudgetError):
+                    call(A, nodes - 1)
+
+
+@pytest.mark.parametrize("row", [r for r in NODES if r[2] <= 3],
+                         ids=lambda r: f"Z{'x'.join(map(str, r[0]))}-arity{r[2]}")
+def test_budget_fires_after_a_deeper_unbudgeted_call(row):
+    """Levels and totals cached by an unbudgeted call one level deeper still
+    count their nodes against a later call's budget, and a BudgetError keeps no
+    half-built level: the set goes on to give the fresh set's values."""
+    factors, spec, arity, nodes = row
+    for call in _budgeted_calls(arity):
+        A = _pinned_set(factors, spec)
+        want = call(_pinned_set(factors, spec), None)
+        with pytest.raises(BudgetError):
+            call(A, nodes - 1)
+        for frontier in A.cache.values():
+            assert len(frontier.levels) == len(frontier.nodes) <= arity
+        count_nonempty_slice_tuples(A, arity + 2, budget=10 ** 9)
+        tuple_sumset_sum(A, arity + 1, "-", budget=10 ** 9)
+        with pytest.raises(BudgetError):
+            call(A, nodes - 1)
+        assert call(A, nodes) == want
+
+
+def test_each_frontier_level_is_expanded_once(monkeypatch):
+    """The counts of a corpus item read 3 levels of each of the two frontiers:
+    the slice-tuple counts and the sums of |A -+ A_s| with A as the partner, the
+    uniformity counts U(2..5) with each slice as its own.  Each level is built
+    once per set, however many counts, and suite calls, read it."""
+    expanded = []
+    real = setfun._Frontier._expand
+
+    def counting(frontier, budget):
+        expanded.append(frontier.partner is None)
+        real(frontier, budget)
+
+    monkeypatch.setattr(setfun._Frontier, "_expand", counting)
+    A = _pinned_set((101,), (0.16, 1))
+    for d in range(2, 6):
+        gowers_u(A, d)
+    for arity in range(2, 5):
+        count_nonempty_slice_tuples(A, arity)
+    for sign in "+-":
+        tuple_sumset_sum(A, 1, sign)
+    assert sorted(expanded) == [False] * 3 + [True] * 3
+    for item in verify.frozen_corpus(1)[:12]:
+        expanded.clear()
+        for run in (verify.run_identity_suite, verify.run_inequality_suite):
+            run(item.A, item.B)
+        verify.run_ratio_report(item.A)
+        verify.run_algorithm_audits(item)
+        assert len(expanded) == 6, item.name
 
 
 def test_wide_rows_and_big_multiplicities(monkeypatch):
     """Dense rows take the over-the-cap path and rows of many members the
     column-wise dedupe; with the int64 bound lowered, multiplicities and totals
     run on Python integers.  None of it may change a value."""
+    def counts():
+        A = random_set(make_group([2] * 8), 0.5, 1)
+        return [gowers_u(A, 3).count, count_nonempty_slice_tuples(A, 2),
+                tuple_sumset_sum(A, 1, "+")]
+
     A = random_set(make_group([2] * 8), 0.5, 1)
     assert A.card ** 2 > setfun.FRONTIER_CHUNK
-    u3 = gowers_u(A, 3).count
-    assert u3 == int(gowers_pair_u3(A, A).value)
-    want = [u3, count_nonempty_slice_tuples(A, 2), tuple_sumset_sum(A, 1, "+")]
+    want = counts()
+    assert want[0] == int(gowers_pair_u3(A, A).value)
     monkeypatch.setattr(setfun, "INT64_SAFE_BOUND", 1 << 12)
-    assert [gowers_u(A, 3).count, count_nonempty_slice_tuples(A, 2),
-            tuple_sumset_sum(A, 1, "+")] == want
+    assert counts() == want
 
 
 def _peak_bytes(fn):

@@ -218,35 +218,70 @@ def test_frozen_corpus_results_are_pinned():
 
 
 def test_profile_holds_each_entry(monkeypatch):
-    """An entry is computed once per profile, however many checks read it."""
+    """An entry is computed once per set object, however many checks and suite
+    calls read it."""
     calls = []
     real = verify.energy_k
 
     def counting(A, k=2):
-        calls.append(k)
+        if A == golden_hplusl():  # not its difference set, which a ratio row reads
+            calls.append(k)
         return real(A, k)
 
     monkeypatch.setattr(verify, "energy_k", counting)
     p = Profile(golden_hplusl())
     assert p.E(3) == p.E(3) == int(energy_k(golden_hplusl(), 3).value)
     assert p.D is p.D
+    assert not p.ca.flags.writeable
     run_inequality_suite(golden_hplusl())
-    assert calls.count(3) == 2  # one per profile: p above, and the suite's own
+    assert calls.count(3) == 2  # one per set object: p's above, and the suite's own
+    # entries live on the set, so every suite call on one object shares them
+    A = golden_hplusl()
+    run_identity_suite(A)
+    run_inequality_suite(A)
+    run_ratio_report(A)
+    assert Profile(A).E(3) == p.E(3)
+    assert calls.count(3) == 3
 
 
 def test_profile_is_freed_without_the_cycle_collector():
-    """No profile entry refers back to the profile, so its arrays go as soon as
-    a suite returns rather than waiting for a garbage-collection pass."""
+    """No cache entry refers back to the set or to a profile, so the set and its
+    cache go as soon as their last user lets go, rather than waiting for a
+    garbage-collection pass."""
     p = Profile(golden_hplusl(), None, None, "hplusl")
     for suite in ("identity", "inequality", "ratio", "algorithms"):
         verify._run(suite, p)
-    ref = weakref.ref(p)
+    assert {("frontier", False), ("frontier", True), ("E", 3)} <= p.A.cache.keys()
+    refs = [weakref.ref(p), weakref.ref(p.A), weakref.ref(p.A.cache[("frontier", True)])]
     gc.disable()
     try:
         del p
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+def test_run_corpus_lets_go_of_each_item(monkeypatch):
+    """Each item's sets, with their caches, are freed once its suites have run,
+    so what a corpus run holds does not grow with the number of items."""
+    refs = []
+    alive = []
+
+    class Recording(Profile):
+        def __init__(self, A, *args):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(A))
+            super().__init__(A, *args)
+
+    monkeypatch.setattr(verify, "Profile", Recording)
+    gc.disable()
+    try:
+        verify.run_corpus(seeds=0, include_random_family=False)
+    finally:
+        gc.enable()
+    assert len(alive) == len(frozen_corpus(0))
+    # the item before is still named by the loop when the next profile is made
+    assert max(alive) == 1
 
 
 @pytest.mark.parametrize("name", ["golden_z7", "hplusl_8_3_5", "z101_seed1", "f2_10_seed2"])
@@ -317,7 +352,46 @@ def test_corpus_summary_reports_per_tag_seconds():
             for r in run_identity_suite(item.A, item.B) + run_inequality_suite(item.A, item.B)
             + run_ratio_report(item.A) + run_algorithm_audits(item)]
     assert set(per_tag) == {r.tag for r in rows}
-    assert all(s >= 0 for s in per_tag.values())
-    assert sum(per_tag.values()) <= sum(summary["per_suite_seconds"].values())
+    per_entry = summary["per_entry_seconds"]
+    assert {"ca", "slice_sumsets", "E(3)", "U(4)", "gamma(2)", "seeded_trials"} <= set(per_entry)
+    assert all(s >= 0 for s in [*per_tag.values(), *per_entry.values()])
+    assert (sum(per_tag.values()) + sum(per_entry.values())
+            <= sum(summary["per_suite_seconds"].values()))
     assert set(CheckResult("n", "t", "1", "1", "pass").to_dict()) == {
         "name", "tag", "lhs", "rhs", "status", "ratio", "note"}
+
+
+def test_entry_seconds_are_charged_to_the_entry(monkeypatch):
+    """An entry's time goes to the entry, less that of the entries it reads
+    first, and not to the row that reads it first; a held entry costs nothing."""
+    def slow(seconds, then=lambda p: 0):
+        def compute(p):
+            time.sleep(seconds)
+            return then(p)
+        return compute
+
+    monkeypatch.setitem(verify._ENTRIES, "inner", slow(0.1))
+    monkeypatch.setitem(verify._ENTRIES, "outer", slow(0.05, lambda p: p.inner))
+    rows = (("t.first", "first", verify._EQ, lambda p: (p.outer, 0)),
+            ("t.again", "again", verify._EQ, lambda p: (p.outer + p.inner, 0)))
+    p = Profile(golden_hplusl())
+    p.seconds = {}
+    per_tag: dict[str, float] = {}
+    assert [r.status for r in verify._evaluate(rows, p, per_tag)] == ["pass", "pass"]
+    assert set(p.seconds) == {"inner", "outer"}
+    assert p.seconds["inner"] >= 0.1
+    assert 0.05 <= p.seconds["outer"] < 0.1
+    assert per_tag["t.first"] < 0.05 and per_tag["t.again"] < 0.05
+
+
+def test_shared_entries_keep_b_and_the_seed_apart():
+    """One set object run against two partners B and two seeds gives the rows
+    of fresh objects: the pair energy is held per B and the trials per seed."""
+    item = next(i for i in frozen_corpus(2) if i.name == "z101_seed1")
+    A = item.A
+    for B, seed in ((item.B, 0), (A, 0), (item.B, 3), (A, 3)):
+        fresh = GSet(A.group, A.mask)
+        assert (results_to_json(run_inequality_suite(A, B, VerifyConfig(seed)))
+                == results_to_json(run_inequality_suite(fresh, B, VerifyConfig(seed))))
+    assert {("e_ab", item.B.key()), ("e_ab", A.key()), ("seeded_trials", 0),
+            ("seeded_trials", 3)} <= A.cache.keys()

@@ -62,6 +62,8 @@ def _cmd_energy(args) -> int:
     record = {"command": "energy", "kind": args.kind, "k": args.k,
               "group": list(A.group.factors), "card": A.card}
     k = float(args.k)
+    if args.kind in ("T", "sigma") and not k.is_integer():
+        raise ValueError(f"--kind {args.kind} takes an integer --k, not {args.k}")
     if args.kind == "E":
         if args.restrict:
             P = load_set(args.restrict)

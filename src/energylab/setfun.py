@@ -58,7 +58,7 @@ class GSet:
         self._card: int | None = None
         self._members: np.ndarray | None = None
         self._bytes: bytes | None = None
-        self.cache: dict = {}  # derived quantities: slice frontiers, `verify.Profile` entries
+        self.cache: dict = {}  # derived: slice frontiers, held gammas, `verify.Profile` entries
 
     # -- constructors ---------------------------------------------------------
 

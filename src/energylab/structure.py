@@ -11,10 +11,13 @@ randomized family uses a counter-based generator keyed by the caller's seed,
 with retries drawing further along the same stream.
 
 Each exhaustive scan hands its values over the subset masks S to one selector
-(`_select`: eligibility, ratio, first argmin, decoded witness).  The values of
-E_alpha (connectedness) and |B - B| (the oracle) are sums over difference
-classes d of a function of cnt_d(S), the number of ordered member pairs with
-difference d inside S, on the pairs grouped by `_pair_classes`:
+(`_select`: eligibility, ratio, first argmin, decoded witness).  The selector
+takes BOUND_CHUNK masks at a time, with the same float operations at every
+mask, and keeps the first minimum across chunks, so it makes no 2^m float
+table.  The values of E_alpha (connectedness) and |B - B| (the oracle) are sums
+over difference classes d of a function of cnt_d(S), the number of ordered
+member pairs with difference d inside S, on the pairs grouped by
+`_pair_classes`:
 - integer alpha = k: cnt_d(S)^k counts the k-tuples of class-d pairs whose
   union lies in S, so one zeta (subset-sum) transform of the histogram of
   those unions gives every E_k(S), exactly, while the tuple count E_k(A) is
@@ -22,6 +25,9 @@ difference d inside S, on the pairs grouped by `_pair_classes`:
 - the oracle: [cnt_d(S) > 0] is an inclusion-exclusion sum over the unions of
   the class's distinct pair masks (`_subset_unions`), transformed the same way
   while its terms number at most 2^m;
+- both transforms run in int32: the term count bounds every partial sum, and it
+  is at most 2^m <= 2^SUBSET_SEARCH_CAP < 2^31 (`_zeta` runs its low passes as
+  strided adds, each element still added once per pass, so no value changes);
 - non-integer alpha takes two phases (`_fractional_gamma`).  The same unions,
   weighted by the Newton forward differences of c -> c^alpha, go through one
   float64 zeta transform: an estimate of every E_alpha(S) with an a-priori
@@ -34,7 +40,8 @@ difference d inside S, on the pairs grouped by `_pair_classes`:
   while E_k(A) < INT64_SAFE_BOUND and use Python integers beyond.
 The route follows from alpha and the class sizes alone.  The uniformity table
 (`_subset_uniformity_counts`) runs the slice recursion of `gowers` over all
-masks at once, on its own grouping of the pairs.
+masks at once, on its own grouping of the pairs, in int64.  `connectedness_gamma`
+holds its (gamma, witness) in the set's cache under (alpha, beta).
 """
 
 from __future__ import annotations
@@ -361,8 +368,17 @@ def _pair_classes(A: GSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zeta(h: np.ndarray, m: int) -> np.ndarray:
-    """In place: h[S] becomes the sum of h[T] over all T inside S (m passes)."""
-    for i in range(m):
+    """In place: h[S] becomes the sum of h[T] over all T inside S (m passes).
+
+    Pass i adds h[S] into h[S | 1<<i] for every S without bit i, once per element,
+    so the result does not depend on how a pass is laid out.  Passes i < 4 run as
+    2^i strided adds over the whole table, h[s + r :: 2s] += h[r :: 2s] with
+    s = 2^i; a pass over inner blocks of 2^i elements runs slower."""
+    for i in range(min(m, 4)):
+        s = 1 << i
+        for r in range(s):
+            h[s + r::2 * s] += h[r::2 * s]
+    for i in range(4, m):
         v = h.reshape(-1, 2, 1 << i)
         v[:, 1] += v[:, 0]
     return h
@@ -411,10 +427,11 @@ def _subset_power_sums(A: GSet, alpha: float) -> np.ndarray:
 
     Integer alpha = k is exact.  When the tuple count sum_d |P_d|^k, which is
     E_k(A), is at most 2^m, one zeta transform of the histogram of the k-tuple
-    unions gives every value.  Otherwise the class sweep runs, in int64 while
-    E_k(A) (an upper bound on every E_k(S), itself at most m^(k+1)) is below
-    INT64_SAFE_BOUND and in Python ints beyond.  Non-integer alpha is a float
-    class sweep."""
+    unions gives every value, in int32: the histogram is nonnegative, so every
+    partial sum of the transform is at most E_k(A) <= 2^m <= 2^SUBSET_SEARCH_CAP
+    < 2^31.  Otherwise the class sweep runs, in int64 while E_k(A) (an upper
+    bound on every E_k(S), itself at most m^(k+1)) is below INT64_SAFE_BOUND and
+    in Python ints beyond.  Non-integer alpha is a float class sweep."""
     m = A.card
     masks, bounds = _pair_classes(A)
     sizes = np.diff(bounds)
@@ -424,7 +441,8 @@ def _subset_power_sums(A: GSet, alpha: float) -> np.ndarray:
     k = int(alpha)
     e_full = sum(int(s) ** k for s in sizes.tolist())
     if k >= 1 and e_full <= 1 << m:
-        return _zeta(np.bincount(_tuple_unions(masks, bounds, k), minlength=1 << m), m)
+        hist = np.bincount(_tuple_unions(masks, bounds, k), minlength=1 << m)
+        return _zeta(hist.astype(np.int32), m)
     dtype = np.int64 if e_full < INT64_SAFE_BOUND else object
     return _class_sweep(m, masks, bounds, np.array([v ** k for v in c.tolist()], dtype=dtype))
 
@@ -476,7 +494,9 @@ def _subset_difference_counts(A: GSet) -> np.ndarray:
     pair masks p_1..p_n, inclusion-exclusion gives [cnt_d(S) > 0] as the sum over
     nonempty K of (-1)^(|K|+1) [union of p_K inside S]; while those 2^n - 1 terms
     sum to at most 2^m over the classes, one zeta transform of their signed
-    histogram gives every count.  Otherwise the class sweep counts [cnt_d > 0]."""
+    histogram gives every count, in int32: every partial sum of the transform
+    adds some of the terms, so its magnitude is at most 2^m <= 2^SUBSET_SEARCH_CAP
+    < 2^31.  Otherwise the class sweep counts [cnt_d > 0]."""
     m = A.card
     n_masks = 1 << m
     masks, bounds = _pair_classes(A)
@@ -486,7 +506,7 @@ def _subset_difference_counts(A: GSet) -> np.ndarray:
     _cls, unions, size = _subset_unions(owner, pair_mask, distinct)
     odd = (size & 1) == 1
     h = np.bincount(unions[odd], minlength=n_masks) - np.bincount(unions[~odd], minlength=n_masks)
-    out = _zeta(h, m)
+    out = _zeta(h.astype(np.int32), m)
     out[1:] += 1
     return out
 
@@ -544,24 +564,48 @@ def _select(A: GSet, table: np.ndarray, frac: float,
     """The minimum of a scan's ratio over the nonempty masks S with |S| >= frac |A|
     and the subset at the first mask attaining it: (inf, empty set) when none
     qualifies.  The ratio is table[S] * scale[|S|] / table[A], or table[S] / |S|
-    without a scale.  It is taken at every mask, and the others are set to inf."""
+    without a scale.  It is taken BOUND_CHUNK masks at a time, with the same float
+    operations at every mask, the ineligible ones set to inf; a chunk's first
+    minimum replaces the best so far only when strictly smaller, so the first
+    minimum over all masks wins."""
     m = A.card
     sizes = _popcounts(1 << m)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at mask 0
-        if scale is None:
-            ratios = table / sizes
-        else:
-            ratios = table.astype(np.float64, copy=False) * scale[sizes] / float(table[-1])
-    ratios[~_eligible(m, frac)] = np.inf
-    best = int(np.argmin(ratios))
-    return float(ratios[best]), _decode(A, best)
+    least = _least_size(m, frac)
+    total = float(table[-1])
+    best, best_mask = math.inf, 0
+    for part in _chunks(1 << m):
+        size = sizes[part]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at mask 0
+            if scale is None:
+                ratios = table[part] / size
+            else:
+                ratios = table[part].astype(np.float64)
+                ratios *= _per_mask(scale, size)
+                ratios /= total
+        np.putmask(ratios, size < least, np.inf)
+        at = int(np.argmin(ratios))
+        if ratios[at] < best:
+            best, best_mask = float(ratios[at]), part.start + at
+    return best, _decode(A, best_mask)
 
 
-def _eligible(m: int, frac: float) -> np.ndarray:
-    """The masks a scan selects from: nonempty, with |S| >= frac m."""
-    out = _popcounts(1 << m) >= frac * m - 1e-9
-    out[0] = False
-    return out
+def _least_size(m: int, frac: float) -> np.uint8:
+    """The least size of a mask a scan selects from: the nonempty masks S with
+    |S| >= frac m are those with |S| >= this (m + 1 when there are none)."""
+    sizes = np.arange(1, m + 1)
+    return np.uint8(sizes[sizes >= frac * m - 1e-9].min(initial=m + 1))
+
+
+def _chunks(n_masks: int) -> list[slice]:
+    """The masks 0 .. n_masks - 1, BOUND_CHUNK at a time."""
+    return [slice(c, c + BOUND_CHUNK) for c in range(0, n_masks, BOUND_CHUNK)]
+
+
+def _per_mask(by_size: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """by_size[|S|] at the masks S of a chunk, from their popcounts.  Every
+    popcount indexes the table, so "clip" never clips; np.take with it gathers
+    faster than indexing by uint8."""
+    return np.take(by_size, size, mode="clip")
 
 
 def _gamma_n(n: int) -> float:
@@ -612,8 +656,8 @@ def _power_sum_estimate(m: int, masks: np.ndarray, bounds: np.ndarray,
     eps = _gamma_n(m + chain + 4) * (math.fsum(np.abs(weights).tolist()) + float(lut[:m + 1].max()))
     est = _zeta(np.bincount(unions, weights, minlength=n_masks), m)
     sizes = _popcounts(n_masks)
-    for c in range(0, n_masks, BOUND_CHUNK):  # class 0: cnt_0(S) = |S|
-        est[c:c + BOUND_CHUNK] += lut[sizes[c:c + BOUND_CHUNK]]
+    for part in _chunks(n_masks):  # class 0: cnt_0(S) = |S|
+        est[part] += _per_mask(lut, sizes[part])
     return est, eps
 
 
@@ -640,14 +684,15 @@ def _fractional_gamma(A: GSet, alpha: float, beta: float,
         return None
     est, eps = estimate
     sizes = _popcounts(n_masks)
-    eligible = _eligible(m, beta)
+    least = _least_size(m, beta)
     # the bounds a chunk of masks at a time, so no table but the estimate is 2^m long
-    parts = [slice(c, c + BOUND_CHUNK) for c in range(0, n_masks, BOUND_CHUNK)]
-    top = min(float(((est[part] + eps) * scale[sizes[part]])[eligible[part]].min(initial=math.inf))
-              for part in parts)
+    parts = _chunks(n_masks)
+    top = min(float(((est[part] + eps) * _per_mask(scale, sizes[part]))[sizes[part] >= least]
+                    .min(initial=math.inf)) for part in parts)
     top *= 1 + 4 * _gamma_n(bounds.size + 7)
     cand = np.flatnonzero(np.concatenate([
-        eligible[part] & ((est[part] - eps) * scale[sizes[part]] <= top) for part in parts]))
+        (sizes[part] >= least) & ((est[part] - eps) * _per_mask(scale, sizes[part]) <= top)
+        for part in parts]))
     if not cand.size:
         return math.inf, _decode(A, 0)
 
@@ -663,8 +708,23 @@ def connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet
 
     The scale (|A|/|B|)^(2 alpha) is numpy's array power and must stay so: libm
     pow rounds some of these values differently, and the frozen gammas, printed
-    with repr, were computed with this one."""
+    with repr, were computed with this one.
+
+    Integer alpha scans an exact table, int32 on the zeta route (every partial
+    sum is at most E_alpha(A) <= 2^m < 2^31); non-integer alpha takes the
+    two-phase scan.  The selector reads the table BOUND_CHUNK masks at a time and
+    keeps the first minimum across chunks.  The result is held in A.cache under
+    (alpha, beta), so a later call on the same set object, such as a re-check
+    after an extraction that removed nothing, reads it; another beta is a scan of
+    its own."""
     _check_scan(A, SUBSET_SEARCH_CAP)
+    key = ("connectedness_gamma", alpha, beta)
+    if key not in A.cache:
+        A.cache[key] = _connectedness_gamma(A, alpha, beta)
+    return A.cache[key]
+
+
+def _connectedness_gamma(A: GSet, alpha: float, beta: float) -> tuple[float, GSet]:
     m = A.card
     scale = (m / np.maximum(np.arange(m + 1.0), 1)) ** (2 * alpha)
     if float(alpha) != int(alpha):

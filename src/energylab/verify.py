@@ -10,9 +10,9 @@ reason recorded.  Ratio entries never fail a run.
 
 Each suite is a tuple of check rows (tag, name, relation, compute) over a lazy
 `Profile`, a view of the set's cache: its entries (A o A, A - A, E_k, gamma, the
-uniformity counts, the |A -+ A_s| table, ...) are computed on first use and held
-on the set for every suite call on it; the two routes of an identity never share
-one.  `_evaluate` turns rows into CheckResults, a failed hypothesis or a
+uniformity counts, the |A -+ A_s| table and its maxima, ...) are computed on
+first use and held on the set for every suite call on it; the two routes of an
+identity never share one.  `_evaluate` turns rows into CheckResults, a failed hypothesis or a
 BudgetError into a skip.  `run_corpus` runs the suites item by item, letting go
 of each after, and charges an entry's time to `per_entry_seconds`, the rest of a
 row's to `per_tag_seconds`, and a suite's to its suite; it counts skips by tag.
@@ -202,6 +202,12 @@ def _slice_sumsets(p: Profile) -> dict[int, tuple[int, int]]:
     return dict(zip(shifts.tolist(), zip(minus.tolist(), plus.tolist())))
 
 
+def _max_slice(p: Profile) -> tuple[int, int]:
+    """(max |A - A_s|, max |A + A_s|) over the nonzero shifts s with A_s nonempty."""
+    cards = p.slice_sumsets
+    return tuple(max(side) for side in zip(*(cards[s] for s in p.nz)))
+
+
 def _slice_moments(p: Profile) -> tuple[int, np.ndarray]:
     """(sum_s <A o A, A_s o A_s>, sum_s A_s o A_s) over the shifts with A_s nonempty.
     With G[i, j] = #{s : a_i, a_j in A_s}, the Gram matrix of the slice table over
@@ -282,6 +288,7 @@ _ENTRIES = {
     "regular": lambda p: regular_part(p.A),
     "oracle": lambda p: small_doubling_subset_oracle(p.A, 0.5),
     "slice_sumsets": _slice_sumsets,
+    "max_slice": _max_slice,
     "slice_moments": _slice_moments,
     "e4da": _e4da,
     "seeded_trials": _seeded_trials,
@@ -543,11 +550,6 @@ _INEQUALITY = (
 # ---------------------------------------------------------------------------
 
 
-def _max_slice(p: Profile, side: int) -> int:
-    """max over the nonzero shifts s of |A - A_s| (side 0) or |A + A_s| (side 1)."""
-    return max(p.slice_sumsets[s][side] for s in p.nz)
-
-
 def _slice_scale(p: Profile, gamma: float = 1.0) -> float:
     """sqrt(gamma K_E) |A| with K_E = |A|^3 / E."""
     return math.sqrt(gamma) * math.sqrt(p.a ** 3 / p.E(2)) * p.a
@@ -564,7 +566,7 @@ _RATIO_ROWS = (
                 f"K={p.D.card / p.a:.6f}")),
     _when(lambda p: p.nz, *(
         (f"ratio.max_slice_{word}", f"max slice {kind} cubed", _REPORT,
-         lambda p, side=side: (_max_slice(p, side) ** 3, p.a ** 10 / (p.D.card * p.E(2) ** 2),
+         lambda p, side=side: (p.max_slice[side] ** 3, p.a ** 10 / (p.D.card * p.E(2) ** 2),
                                f"hypothesis E_3 >= 2|A|^3: {p.E(3) >= 2 * p.a ** 3}"))
         for side, (word, kind) in enumerate((("minus", "difference-sumset"),
                                              ("plus", "plus-sumset"))))),
@@ -576,7 +578,7 @@ _RATIO_ROWS = (
     _when(lambda p: p.a <= GAMMA_CAP,
           _when(lambda p: p.nz,
                 ("ratio.max_slice_conn", "max slice sumset squared under connectedness", _REPORT,
-                 lambda p: (max(_max_slice(p, 0), _max_slice(p, 1)) ** 2,
+                 lambda p: (max(p.max_slice) ** 2,
                             p.gamma(3) * p.a ** 5 / p.E(2), f"gamma(3,1/2)={p.gamma(3):.6f}"))),
           ("ratio.dx", "largest difference-set slice", _REPORT,
            lambda p: (int(p.cd[1:].max(initial=0)), _slice_scale(p, p.gamma(3)),

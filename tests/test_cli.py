@@ -58,6 +58,18 @@ def test_energy_command(golden_file, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "1"
 
 
+@pytest.mark.parametrize("kind", ["T", "sigma"])
+@pytest.mark.parametrize("k", ["2.5", "inf", "nan"])
+def test_energy_non_integer_order_is_usage_error(golden_file, capsys, kind, k):
+    """T_k and sigma_k take an integer k: 2.5 is refused, not truncated to 2."""
+    assert main(["energy", "--set", golden_file, "--kind", kind, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"takes an integer --k, not {k}" in captured.err
+    # an integral value written as a float is still an integer order
+    assert main(["energy", "--set", golden_file, "--kind", kind, "--k", "2.0"]) == 0
+
+
 def test_energy_restricted(golden_file, tmp_path, capsys):
     restrict = tmp_path / "p.json"
     restrict.write_text(json.dumps({"group": [7], "elements": [0]}))

@@ -10,7 +10,12 @@ Non-integer alpha takes two phases: a float zeta estimate with an error bound,
 then the class sweep on the candidate masks only, or the full sweep past 2^m
 terms.  Its estimate is checked against correctly rounded sums to within its
 bound, its gamma and witness against an argmin taken here over the per-class
-loop, to the bit, on tie-heavy sets too, and its route on each side."""
+loop, to the bit, on tie-heavy sets too, and its route on each side.
+
+The layout of the scans: the zeta transform against the per-pass loop it
+replaced, to the bit, in int32, int64 and float64; the int32 tables; the chunked
+selector against the whole-table one, ties across a chunk boundary included;
+and gamma held on the set per (alpha, beta)."""
 
 import math
 import tracemalloc
@@ -25,7 +30,7 @@ from energylab.gowers import gowers_u
 from energylab.group import make_group
 from energylab.setfun import GSet, difference_set
 from energylab.structure import (_class_sweep, _pair_classes, _popcounts, _power_lut,
-                                 _power_sum_estimate, _subset_difference_counts,
+                                 _power_sum_estimate, _select, _subset_difference_counts,
                                  _subset_power_sums, _subset_uniformity_counts, _tuple_unions,
                                  _zeta, connectedness_gamma, gowers_connectedness_gamma,
                                  small_doubling_subset_oracle)
@@ -344,3 +349,149 @@ def test_scan_small_shapes_take_the_two_phase_route(monkeypatch, factors, m):
     assert len(swept) == 1 and swept[0] < 1 << 10
     want = _reference_gamma(A, 1.5, 0.5, _reference_float_power_sums(A, 1.5))
     assert (gamma.hex(), witness) == (want[0].hex(), want[1])
+
+
+# -- the layout of the scans: zeta passes, the chunked selector, the held gamma -------
+
+
+def _reference_zeta(h, m):
+    """The per-pass loop the strided low passes replaced: pass i adds h[S] into
+    h[S | 1<<i] over the blocks of 2^(i+1) masks."""
+    for i in range(m):
+        v = h.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    return h
+
+
+def _elementwise_zeta(values, m):
+    """The subset-sum transform one mask at a time, on Python numbers."""
+    h = list(values)
+    for i in range(m):
+        for s in range(1 << m):
+            if s >> i & 1:
+                h[s] += h[s ^ (1 << i)]
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("m", list(range(9)) + [18])
+def test_zeta_matches_the_per_pass_loop(dtype, m):
+    rng = np.random.default_rng(m)
+    if dtype == np.float64:
+        h = rng.standard_normal(1 << m)
+    else:
+        h = rng.integers(-7, 8, 1 << m).astype(dtype)
+    got = _zeta(h.copy(), m)
+    want = _reference_zeta(h.copy(), m)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    if m <= 8 and dtype != np.float64:
+        assert got.tolist() == _elementwise_zeta(h.tolist(), m)
+
+
+def test_zeta_tables_are_int32():
+    """The zeta routes of E_k and |B - B| fill int32 tables; the class sweep stays
+    int64."""
+    A = _draw((101,), 12, 4)
+    assert _subset_power_sums(A, 2).dtype == np.int32
+    assert _subset_difference_counts(A).dtype == np.int32
+    B = arithmetic_progression(31, 2, 5, 9)  # E_4 and the union terms pass 2^9
+    assert _subset_power_sums(B, 4).dtype == np.int64
+    assert _subset_difference_counts(B).dtype == np.int64
+
+
+def _reference_select(A, table, frac, scale=None):
+    """The selector over the whole table at once, as it ran before chunking."""
+    m = A.card
+    sizes = _popcounts(1 << m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scale is None:
+            ratios = table / sizes
+        else:
+            ratios = table.astype(np.float64) * scale[sizes] / float(table[-1])
+    eligible = sizes >= frac * m - 1e-9
+    eligible[0] = False
+    ratios[~eligible] = np.inf
+    best = int(np.argmin(ratios))
+    return float(ratios[best]), _subset(A, best)
+
+
+def _chunk_set(m=16):
+    """A set of m > log2(BOUND_CHUNK) members, so its masks span several chunks."""
+    assert 1 << m > structure.BOUND_CHUNK
+    return GSet.from_indices(make_group((101,)), range(m))
+
+
+def test_select_tie_across_a_chunk_boundary_takes_the_first_mask():
+    A = _chunk_set()
+    m = A.card
+    sizes = _popcounts(1 << m).astype(np.int64)
+    first, second = structure.BOUND_CHUNK - 1, structure.BOUND_CHUNK + 0b111
+    table = 3 * sizes
+    table[[first, second]] = sizes[[first, second]]  # both at ratio 1, the minimum
+    assert _select(A, table, 0.0) == (1.0, _subset(A, first))
+    table[first] = 3 * sizes[first]
+    assert _select(A, table, 0.0) == (1.0, _subset(A, second))
+    # a scaled ratio ties the same way: table[S] * scale[|S|] / table[A]
+    scale = np.ones(m + 1)
+    table = np.full(1 << m, 5, dtype=np.int64)
+    table[[first, second]] = 2
+    assert _select(A, table, 0.0, scale) == (0.4, _subset(A, first))
+
+
+def test_select_without_an_eligible_mask():
+    A = _chunk_set()
+    table = _popcounts(1 << A.card).astype(np.int64) + 1
+    gamma, witness = _select(A, table, 1.5)
+    assert gamma == math.inf and witness.card == 0
+    gamma, witness = _select(A, table, 1.5, np.ones(A.card + 1))
+    assert gamma == math.inf and witness.card == 0
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.5, 2 / 3, 1.0])
+def test_select_matches_the_whole_table_selector(frac):
+    """Few distinct values, so ties fall in every chunk; with and without a scale,
+    and on int32, int64 and Python-int tables."""
+    A = _chunk_set(17)
+    m = A.card
+    rng = np.random.default_rng(17)
+    table = rng.integers(1, 4, 1 << m) * _popcounts(1 << m)
+    table[-1] = 40
+    scale = (m / np.maximum(np.arange(m + 1.0), 1)) ** 2.5
+    for tab in (table, table.astype(np.int32), table.astype(object)):
+        got, want = _select(A, tab, frac, scale), _reference_select(A, tab, frac, scale)
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+    got, want = _select(A, table, frac), _reference_select(A, table, frac)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+def _scans(monkeypatch):
+    """The (alpha, beta) of every connectedness scan run from here on."""
+    runs = []
+    real = structure._connectedness_gamma
+
+    def spy(A, alpha, beta):
+        runs.append((alpha, beta))
+        return real(A, alpha, beta)
+
+    monkeypatch.setattr(structure, "_connectedness_gamma", spy)
+    return runs
+
+
+def test_gamma_is_held_per_set_alpha_and_beta(monkeypatch):
+    A = _draw((101,), 12, 8)
+    runs = _scans(monkeypatch)
+    first = connectedness_gamma(A, 2, 0.5)
+    assert connectedness_gamma(A, 2, 0.5) is first
+    assert connectedness_gamma(A, 2.0, 0.5) is first
+    assert runs == [(2, 0.5)]
+    other = connectedness_gamma(A, 2, 0.75)
+    assert runs == [(2, 0.5), (2, 0.75)]
+    assert other == _reference_gamma(A, 2, 0.75, _subset_power_sums(A, 2))
+    connectedness_gamma(A, 1.5, 0.5)
+    connectedness_gamma(A, 1.5, 0.5)
+    assert runs == [(2, 0.5), (2, 0.75), (1.5, 0.5)]
+    # the cache belongs to the set object: an equal set scans again
+    twin = GSet(A.group, A.mask.copy())
+    assert connectedness_gamma(twin, 2, 0.5) == first
+    assert len(runs) == 4

@@ -244,6 +244,18 @@ def test_profile_holds_each_entry(monkeypatch):
     assert calls.count(3) == 3
 
 
+@pytest.mark.parametrize("A", [golden_hplusl(), arithmetic_progression(101, 3, 7, 9),
+                               random_set(make_group((2,) * 6), 0.3, 4)], ids=str)
+def test_max_slice_is_the_per_shift_maximum(A):
+    """The held (max |A - A_s|, max |A + A_s|) over the nonzero shifts s with A_s
+    nonempty, against a walk over the shifts with each sumset built."""
+    p = Profile(A)
+    shifts = [s for s in np.flatnonzero(set_correlate(A, A)).tolist() if s]
+    slices = [GSet(A.group, A.mask & A.shift_minus(s).mask) for s in shifts]
+    assert p.max_slice == (max(difference_set(A, X).card for X in slices),
+                           max(sumset(A, X).card for X in slices))
+
+
 def test_profile_is_freed_without_the_cycle_collector():
     """No cache entry refers back to the set or to a profile, so the set and its
     cache go as soon as their last user lets go, rather than waiting for a

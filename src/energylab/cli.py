@@ -18,7 +18,7 @@ from . import constructors
 from .energy import WeightKernel, energy_k, restricted_energy, sigma_restricted, t_k
 from .gowers import gowers_u
 from .group import parse_group
-from .setfun import GSet, difference_set, set_correlate, sigma_k
+from .setfun import INT64_SAFE_BOUND, GSet, difference_set, set_correlate, sigma_k
 from .structure import (PreconditionError, connected_extraction_gamma_floor,
                         extract_connected_subset, greedy_disjoint_slices,
                         greedy_disjoint_translates, popular_slice_family, regular_part,
@@ -119,12 +119,15 @@ def _cmd_extract(args) -> int:
     elif args.algo == "random-family":
         record["family"] = _family_payload(popular_slice_family(A, args.seed))
     elif args.algo == "connected":
-        q = WeightKernel.from_difference(A.group, set_correlate(A, A) ** max(1, args.power),
-                                         psd=True)
+        ca, power = set_correlate(A, A), max(1, args.power)
+        if int(ca.max()) ** power >= INT64_SAFE_BOUND:
+            raise ValueError(f"kernel (A o A)^{power} reaches INT64_SAFE_BOUND = 2^62 "
+                             f"(max (A o A) = {int(ca.max())}); lower --power")
+        q = WeightKernel.from_difference(A.group, ca ** power, psd=True)
         out, steps = extract_connected_subset(A, q, args.beta1, args.beta2, args.rho)
         record["result"] = {"elements": out.members.tolist(), "steps": steps,
                             "gamma_floor": connected_extraction_gamma_floor(
-                                max(1, args.power) + 1, args.beta1, steps)}
+                                power + 1, args.beta1, steps)}
     elif args.algo == "regular-part":
         out = regular_part(A)
         record["result"] = {"elements": out.members.tolist()}

@@ -10,7 +10,12 @@ each slice as its own partner: d - 2 levels of unique slices X cap (X - h)
 with exact multiplicities, then one pass summing |X cap (X - h)|^2 over the
 last level; counts on one set share its levels, held in the set's cache.  It
 forms the pairs of members itself, so it shares no code with the correlation
-and energy routes (and the per-shift `gowers_pair_u3`) it is checked against.
+and energy routes it is checked against.
+
+`gowers_pair_u3` is one of those routes, an oracle for U_3 on A = B: the sum
+over shifts s of E(A cap (B - s)), batched over the shifts whose slices have
+equal size, with its own pair keys (row, w' - w) on a table of slice members.
+It never reads the frontier.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import GSet, _exact_sum, _frontier, _same_group, set_correlate
+from .setfun import ROW_CHUNK_CELLS, GSet, _exact_sum, _frontier, _same_group, set_correlate
 
 GOWERS_MAX_ORDER = 6
 MONOTONICITY_SLACK = 1e-12
@@ -56,21 +61,39 @@ def gowers_u(A: GSet, d: int) -> GowersValue:
 def gowers_pair_u3(A: GSet, B: GSet):
     """sum_{s1,s2} ( sum_x A(x) B(x+s1) A(x+s2) B(x+s1+s2) )^2, exact.
 
-    Computed as sum over s1 of E(A cap (B - s1)): the inner sum for fixed s1 is
-    the self-correlation of W = A cap (B - s1) at s2.  Returns an EnergyValue;
-    when both sets are nonempty the lower bound E(A,B)^4 / (|A| |B|)^4 is
-    asserted (exactly, in integers).
+    Computed as sum over s1 of E(W) with W = A cap (B - s1): the inner sum for
+    fixed s1 is the number of pairs (w, w') in W^2 with w' - w = s2.  The shifts
+    are batched by |W| = (A o B)(s1): a block of k-member slices is read off the
+    table B(a + s1) over A's members, and its pairs are counted by key
+    (row, w' - w), at most ROW_CHUNK_CELLS pair cells (and table cells) at a
+    time; a slice with more than ROW_CHUNK_CELLS pairs is correlated with itself
+    alone.  Returns an EnergyValue; when both sets are nonempty the lower bound
+    E(A,B)^4 / (|A| |B|)^4 is asserted (exactly, in integers).
     """
     from .energy import EnergyValue, pair_energy
 
-    _same_group("gowers_pair_u3", A, B)
+    g = _same_group("gowers_pair_u3", A, B)
     if A.card == 0 or B.card == 0:
         return EnergyValue(0, 3.0, "mixed", True, vacuous=True)
-    total = 0
     # (A o B)(s1) = |A cap (B - s1)|, so its support carries every nonempty W
-    for s1 in np.flatnonzero(set_correlate(A, B)).tolist():
-        W = A.intersect(B.shift_minus(s1))
-        total += _exact_sum(set_correlate(W, W), 2)
+    sizes = set_correlate(A, B)
+    total = 0
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        shifts = np.flatnonzero(sizes == k)
+        if k * k > ROW_CHUNK_CELLS:
+            for s1 in shifts.tolist():
+                W = A.intersect(B.shift_minus(s1))
+                total += _exact_sum(set_correlate(W, W), 2)
+            continue
+        step = max(1, ROW_CHUNK_CELLS // max(k * k, A.card))
+        for lo in range(0, shifts.size, step):
+            block = shifts[lo:lo + step]
+            # row j: the k members a of A with a + s_j in B, ascending
+            inside = B.mask[g.add_indices(A.members[None, :], block[:, None])]
+            W = A.members[np.nonzero(inside)[1]].reshape(block.size, k)
+            key = g.sub_indices(W[:, None, :], W[:, :, None])
+            key += (np.arange(block.size, dtype=np.int64) * g.size)[:, None, None]
+            total += _exact_sum(np.unique(key, return_counts=True)[1], 2)
     e = pair_energy(A, B)
     lhs = e ** 4
     rhs = total * (A.card ** 4) * (B.card ** 4)

@@ -765,7 +765,9 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
     A subset C of the current set V violates when E_q(C, V) < rho (|C|/|V|) E_q(V);
     the cross energy is linear in C, so the scan is a subset-sum sweep.  The first
     violator in ascending-bitmask order is removed.  On exit the survivor V* has
-    E_q(V*) > (1 - beta2 rho)^{2s} E_q(A) for the returned step count s."""
+    E_q(V*) > (1 - beta2 rho)^{2s} E_q(A) for the returned step count s.  An
+    integer kernel is scanned exactly; a kernel energy E_q(V) of INT64_SAFE_BOUND
+    or more raises ValueError."""
     if not 0 < beta1 <= beta2 <= 1:
         raise ValueError("need 0 < beta1 <= beta2 <= 1")
     if not rho < beta1 / beta2:
@@ -775,36 +777,61 @@ def extract_connected_subset(A: GSet, q: WeightKernel, beta1: float, beta2: floa
     current = A
     steps = 0
     while True:
-        mem = current.members
-        m = mem.size
-        row = q.row_sums(current)
-        w = np.asarray([int(row[x]) if isinstance(row[x], (int, np.integer)) else float(row[x])
-                        for x in mem.tolist()])
-        eq_v = w.sum()  # E_q(V) = sum_{x in V} w_V(x)
+        w = q.row_sums(current)[current.members]  # w_V(x) over x in V; Python ints past int64
+        if w.dtype.kind in "iuO":
+            # E_q(V) = sum_{x in V} w_V(x), exactly: it bounds every subset sum of the int64 table
+            eq_v = sum(w.tolist())
+            if eq_v >= INT64_SAFE_BOUND:
+                raise ValueError(f"kernel energy {eq_v} reaches INT64_SAFE_BOUND = 2^62, "
+                                 "past which the subset sums are not exact")
+            w = w.astype(np.int64)
+        else:
+            w = w.astype(np.float64)
+            eq_v = w.sum()
         if eq_v <= 0:
             raise PreconditionError("kernel energy vanished; no guarantee applies")
-        exact = w.dtype.kind in "iu"
-        sums = _subset_sums_over_masks(w if exact else w.astype(np.float64))
-        pops = _popcounts(1 << m)
-        lo = beta1 * m - 1e-9
-        hi = beta2 * m + 1e-9
-        eligible = (pops >= lo) & (pops <= hi) & (pops > 0)
-        # violation: E_q(C, V) < rho * (|C|/|V|) * E_q(V), with E_q(C, V) linear in C
-        viol = eligible & (sums.astype(np.float64) * m < rho * pops * float(eq_v))
-        hits = np.flatnonzero(viol)
-        first = -1
-        if exact:
-            rho_f = Fraction(rho)
-            for h in hits.tolist():
-                if Fraction(int(sums[h]) * m) < rho_f * int(pops[h]) * int(eq_v):
-                    first = int(h)
-                    break
-        elif hits.size:
-            first = int(hits[0])
+        first = _first_violator(w, eq_v, beta1, beta2, rho)
         if first < 0:
             return current, steps
         current = current.difference(_decode(current, first))
         steps += 1
+
+
+def _first_violator(w: np.ndarray, eq_v, beta1: float, beta2: float, rho: float) -> int:
+    """The first mask C in ascending order with beta1 m <= |C| <= beta2 m, C nonempty
+    and E_q(C, V) m < rho |C| E_q(V), where E_q(C, V) is the sum of w over C; -1 if
+    there is none.  The test runs BOUND_CHUNK masks at a time.
+
+    Float weights decide in float.  Integer weights (int64, sum eq_v below
+    INT64_SAFE_BOUND) decide by an exact Fraction test on the masks a float
+    prefilter keeps.  With u = 2^-53, the prefilter's left side S m takes 2
+    roundings, so it is at most S m (1 + u)^2; its right side rho |C| E_q(V) takes
+    3 and the widening by 1 + 8u one more, so it is at least
+    rho |C| E_q(V) (1 + 8u)(1 - u)^4 >= rho |C| E_q(V) (1 + u)^2.  Every true
+    violator therefore passes the prefilter (w >= 0, so for rho <= 0 there is
+    none to keep)."""
+    m = w.size
+    sums = _subset_sums_over_masks(w)
+    pops = _popcounts(1 << m)
+    lo = beta1 * m - 1e-9
+    hi = beta2 * m + 1e-9
+    exact = w.dtype.kind == "i"
+    widen = 1 + 8 * 2.0 ** -53 if exact else 1.0
+    rho_f = Fraction(rho)
+    for part in _chunks(1 << m):
+        size = pops[part]
+        eligible = (size >= lo) & (size <= hi) & (size > 0)
+        # violation: E_q(C, V) < rho * (|C|/|V|) * E_q(V), with E_q(C, V) linear in C
+        hits = np.flatnonzero(eligible & (sums[part].astype(np.float64) * m
+                                          < rho * size * float(eq_v) * widen))
+        if not exact:
+            if hits.size:
+                return part.start + int(hits[0])
+            continue
+        for h in (part.start + hits).tolist():
+            if Fraction(int(sums[h]) * m) < rho_f * int(pops[h]) * eq_v:
+                return h
+    return -1
 
 
 def extraction_step_cap(A: GSet, q: WeightKernel, beta1: float, beta2: float, rho: float) -> int:

@@ -402,9 +402,13 @@ def _slice_sumset_sum(p: Profile, side: int) -> int:
 
 
 def _slice_weighted_sum(p: Profile, side: int):
-    """sum_s (A o A)(s)^2 / |A -+ A_s| against E_3 / |A|^2, compared exactly."""
-    acc = sum((Fraction(int(p.ca[s]) ** 2, cards[side]) for s, cards in p.slice_sumsets.items()),
-              Fraction(0))
+    """sum_s (A o A)(s)^2 / |A -+ A_s| against E_3 / |A|^2, compared exactly: the
+    integer numerators are summed per denominator, then one Fraction each is added."""
+    ca = p.ca
+    by_card: dict[int, int] = {}
+    for s, cards in p.slice_sumsets.items():
+        by_card[cards[side]] = by_card.get(cards[side], 0) + int(ca[s]) ** 2
+    acc = sum((Fraction(n, d) for d, n in by_card.items()), Fraction(0))
     e3, a = p.E(3), p.a
     return (repr(float(acc)), repr(e3 / a ** 2), acc <= Fraction(e3, a * a),
             _ratio(float(acc), e3 / a ** 2), "exact rational comparison")

@@ -124,6 +124,23 @@ def test_extract_connected(golden_file, capsys):
     assert payload["result"]["steps"] == 0
 
 
+@pytest.mark.parametrize("power", ["15", "16", "20"])
+def test_extract_connected_refuses_powers_past_int64(tmp_path, capsys, power):
+    """|A| = 16 with (A o A)(0) = 16: at power 15 the kernel fits int64 but its
+    energy does not, from 16 on the kernel itself does not (16^16 = 2^64 once
+    wrapped to 0).  Both exit 2 and name the bound."""
+    path = tmp_path / "r.json"
+    assert main(["construct", "--kind", "random", "--group", "101", "--density", "0.2",
+                 "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = main(["extract", "--algo", "connected", "--set", str(path), "--power", power])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "INT64_SAFE_BOUND" in captured.err and not captured.out
+    assert main(["extract", "--algo", "connected", "--set", str(path), "--power", "14"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["steps"] == 0
+
+
 def test_corpus_command(tmp_path, capsys):
     out = tmp_path / "summary.json"
     rc = main(["corpus", "--seeds", "1", "--skip-random-family", "--out", str(out)])

@@ -6,10 +6,12 @@ import pytest
 from conftest import brute_gowers_count
 from energylab.constructors import random_set, subspace
 from energylab.energy import energy_k, pair_energy
+import energylab.gowers as gowers
+import energylab.setfun as setfun
 from energylab.gowers import (gowers_normalized_monotonicity, gowers_pair_u3,
                               gowers_u)
 from energylab.group import make_group
-from energylab.setfun import GSet, difference_set, sumset
+from energylab.setfun import GSet, _exact_sum, difference_set, set_correlate, sumset
 
 
 def test_golden_counts(triple):
@@ -83,6 +85,95 @@ def test_pair_u3_brute():
                         and (x + s2) % 6 in mem_a and (x + s1 + s2) % 6 in mem_b)
             want += inner * inner
     assert int(gowers_pair_u3(A, B).value) == want
+
+
+def _pair_u3_per_shift(A, B):
+    """The definition, one self-correlation per shift: sum_s E(A cap (B - s))."""
+    total = 0
+    for s in np.flatnonzero(set_correlate(A, B)).tolist():
+        W = A.intersect(B.shift_minus(s))
+        total += _exact_sum(set_correlate(W, W), 2)
+    return total
+
+
+def _pair_u3_cases():
+    for factors in ([61], [97], [2] * 6, [2] * 7, [2, 3, 5]):
+        g = make_group(factors)
+        for seed in range(3):
+            A = random_set(g, (0.1, 0.3, 0.6)[seed], seed)
+            B = random_set(g, (0.5, 0.2, 0.4)[seed], seed + 11)
+            yield A, B
+            yield A, A
+
+
+@pytest.mark.parametrize("cells", [None, 1, 1 << 40])
+def test_pair_u3_batched_matches_per_shift(monkeypatch, cells):
+    """Every chunking gives the per-shift value: the default cap, one pair cell
+    (every slice past one member runs alone) and the whole table at once."""
+    if cells is not None:
+        monkeypatch.setattr(gowers, "ROW_CHUNK_CELLS", cells)
+    for A, B in _pair_u3_cases():
+        assert int(gowers_pair_u3(A, B).value) == _pair_u3_per_shift(A, B)
+
+
+def test_pair_u3_alone_path(monkeypatch):
+    """A slice with more than ROW_CHUNK_CELLS pairs is correlated with itself alone."""
+    g = make_group([1009])
+    A = random_set(g, 0.3, 4)
+    assert A.card ** 2 > setfun.ROW_CHUNK_CELLS
+    alone = []
+    real = gowers.set_correlate
+
+    def spy(X, Y):
+        if X is Y and X is not A:
+            alone.append(X.card)
+        return real(X, Y)
+
+    monkeypatch.setattr(gowers, "set_correlate", spy)
+    assert int(gowers_pair_u3(A, A).value) == gowers_u(A, 3).count == _pair_u3_per_shift(A, A)
+    # only W = A cap (A - 0) = A is that large
+    assert alone == [A.card]
+
+
+def test_pair_u3_chunks_stay_under_the_cap(monkeypatch):
+    cap = 256
+    monkeypatch.setattr(gowers, "ROW_CHUNK_CELLS", cap)
+    sizes = []
+    real = np.unique
+
+    def spy(key, **kw):
+        if kw.get("return_counts"):  # the pair keys of one chunk
+            sizes.append(key.size)
+        return real(key, **kw)
+
+    monkeypatch.setattr(np, "unique", spy)
+    A = random_set(make_group([2] * 7), 0.3, 2)
+    got = int(gowers_pair_u3(A, A).value)
+    monkeypatch.undo()
+    assert got == gowers_u(A, 3).count
+    assert sizes and max(sizes) <= cap
+    # chunks of several rows did form: fewer chunks than shifts
+    assert len(sizes) < np.count_nonzero(set_correlate(A, A))
+
+
+def test_pair_u3_is_independent_of_the_frontier(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("gowers_pair_u3 must form its own pairs")
+
+    for mod, name in ((gowers, "_frontier"), (setfun, "_frontier"), (setfun, "_Frontier"),
+                      (setfun, "_rows_exact")):
+        monkeypatch.setattr(mod, name, refuse)
+    g = make_group([2, 3, 5])
+    A, B = random_set(g, 0.4, 1), random_set(g, 0.3, 2)
+    assert int(gowers_pair_u3(A, B).value) == _pair_u3_per_shift(A, B)
+
+
+def test_pair_u3_disjoint_sets():
+    g = make_group([53])
+    A = GSet.from_indices(g, range(0, 20, 2))
+    B = GSet.from_indices(g, range(1, 30, 2))
+    assert not (A.mask & B.mask).any()
+    assert int(gowers_pair_u3(A, B).value) == _pair_u3_per_shift(A, B) > 0
 
 
 def test_pair_u3_empty_flag():

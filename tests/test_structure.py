@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from energylab.constructors import (arithmetic_progression, boolean_group, coset_union,
-                                    random_set, subspace)
+import energylab.structure as structure
+from energylab.constructors import (InstanceSpec, arithmetic_progression, boolean_group,
+                                    coset_union, random_set, subspace)
 from energylab.energy import WeightKernel, energy_k, pair_energy
 from energylab.group import make_group
 from energylab.setfun import (DenseFunc, GSet, convolve, correlate, difference_set,
@@ -300,6 +301,88 @@ def test_extract_rejects_bad_rho():
     q = WeightKernel.from_difference(H.group, set_correlate(H, H), psd=True)
     with pytest.raises(PreconditionError):
         extract_connected_subset(H, q, 0.2, 0.5, 0.5)
+
+
+def test_extract_refuses_a_kernel_energy_past_int64():
+    """(A o A)^15 fits int64 entry by entry, but E_q(A) = 1.84e19 does not: the
+    int64 sum once wrapped to 1.3e12 and the scan reported a vanished energy."""
+    A = InstanceSpec("random", {"group": [101], "density": 0.2}, 3).build()
+    ca = set_correlate(A, A)
+    assert A.card == 16 and int(ca.max()) == 16
+    q = WeightKernel.from_difference(A.group, ca ** 15, psd=True)
+    assert int(q.energy(A, A)) >= 2 ** 63
+    with pytest.raises(ValueError, match="INT64_SAFE_BOUND"):
+        extract_connected_subset(A, q, 0.5, 1.0, 0.25)
+    # one power lower the energy fits, and the scan runs
+    q = WeightKernel.from_difference(A.group, ca ** 14, psd=True)
+    out, steps = extract_connected_subset(A, q, 0.5, 1.0, 0.25)
+    assert steps == 0 and out == A
+
+
+def _violators(w, beta1, beta2, rho):
+    """Every mask violating the extraction test, in ascending order, exactly."""
+    m, eq_v = len(w), sum(w)
+    out = []
+    for mask in range(1, 1 << m):
+        size = bin(mask).count("1")
+        if beta1 * m - 1e-9 <= size <= beta2 * m + 1e-9:
+            S = sum(w[i] for i in range(m) if mask >> i & 1)
+            if Fraction(S * m) < Fraction(rho) * size * eq_v:
+                out.append((mask, Fraction(S * m, size * eq_v)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_first_violator_decides_a_near_tie_exactly(monkeypatch, chunk):
+    """Weights near 2^57 make the float test round.  At rho just above the least
+    ratio R the tie mask violates, although a plain float `<` rejects it; at the
+    largest float rho <= R no mask does, although the widened float prefilter keeps
+    the tie mask: the exact test decides both."""
+    if chunk is not None:
+        monkeypatch.setattr(structure, "BOUND_CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    w = [int(v) for v in (1 << 57) + rng.integers(0, 1 << 40, size=10)]
+    m, eq_v = len(w), sum(w)
+    beta1, beta2 = 0.3, 0.7
+    ratios = [r for _, r in _violators(w, beta1, beta2, 1.0)]
+    R = min(ratios)
+    above = math.nextafter(float(R), math.inf) if float(R) <= R else float(R)
+    below = float(R) if float(R) <= R else math.nextafter(float(R), -math.inf)
+    W = np.array(w, dtype=np.int64)
+    first = _violators(w, beta1, beta2, above)[0][0]
+    assert structure._first_violator(W, eq_v, beta1, beta2, above) == first
+    assert _violators(w, beta1, beta2, below) == []
+    assert structure._first_violator(W, eq_v, beta1, beta2, below) == -1
+    sums = structure._subset_sums_over_masks(W)
+    size = bin(first).count("1")
+    # unwidened, the float test misses the true violator at `above`
+    assert not float(sums[first]) * m < above * size * float(eq_v)
+    # widened, it keeps the tie mask at `below`, where the Fraction test rejects it
+    assert float(sums[first]) * m < below * size * float(eq_v) * (1 + 8 * 2.0 ** -53)
+
+
+def test_first_violator_matches_the_exact_scan(monkeypatch):
+    """Across chunk boundaries, the first violator of integer weights is the first
+    mask of the exact scan, and that of float weights the first of the float test
+    over the whole table at once."""
+    monkeypatch.setattr(structure, "BOUND_CHUNK", 16)
+    rng = np.random.default_rng(9)
+    beta1, beta2 = 0.25, 1.0
+    for trial in range(20):
+        w = [int(v) for v in rng.integers(0, 50, size=int(rng.integers(3, 11)))]
+        if not sum(w):
+            continue
+        rho = float(rng.uniform(0.1, 0.9))
+        want = _violators(w, beta1, beta2, rho)
+        got = structure._first_violator(np.array(w, dtype=np.int64), sum(w), beta1, beta2, rho)
+        assert got == (want[0][0] if want else -1), trial
+        wf = np.array(w, dtype=np.float64) * 0.37
+        m, eq_f = wf.size, wf.sum()
+        pops = structure._popcounts(1 << m)
+        hits = np.flatnonzero((pops >= beta1 * m - 1e-9) & (pops <= beta2 * m + 1e-9) & (pops > 0)
+                              & (structure._subset_sums_over_masks(wf) * m < rho * pops * eq_f))
+        got = structure._first_violator(wf, eq_f, beta1, beta2, rho)
+        assert got == (int(hits[0]) if hits.size else -1), trial
 
 
 def test_gamma_floor_formula():

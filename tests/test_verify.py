@@ -4,11 +4,13 @@ import json
 import time
 import weakref
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import energylab.verify as verify
+from frozen_corpus_hash import suite_major_rows
 from energylab.constructors import (arithmetic_progression, golden_hplusl, random_set,
                                     subspace)
 from energylab.energy import energy_k, t_k
@@ -184,7 +186,7 @@ def test_random_family_acceptance_instance():
 
 # sha256 over repr((item, suite, name, tag, lhs, rhs, status)) of every CheckResult,
 # suite-major, over frozen_corpus(2) with all four suites; the same recipe over
-# frozen_corpus(100) gives 13f4f3764c2e99b3438d50247cf46e32099de2079c7552296f06ddf94874ebc1
+# frozen_corpus(100) is pinned by frozen_corpus_hash.py, run as its own CI step
 CORPUS2_DIGEST = "737387c030f05576c8e8ff81e0e4f1f303cdff9a18264b90e87cc0821c7d7290"
 # the same hash over every row but the ratio.e4da* rows of the items where a pair
 # budget once skipped ratio.e4da, computed while that budget was in place: no other
@@ -196,22 +198,13 @@ CORPUS2_DIGEST_KEPT = "3defb2699c1ff7f4562d048fc93e5179884e73ddc0a94297a8ac3eeca
 
 
 def test_frozen_corpus_results_are_pinned():
-    items = frozen_corpus(seeds=2)
-    cfg = VerifyConfig()
-    suites = (("identity", lambda it: run_identity_suite(it.A, it.B, cfg)),
-              ("inequality", lambda it: run_inequality_suite(it.A, it.B, cfg)),
-              ("ratio", lambda it: run_ratio_report(it.A, cfg)),
-              ("algorithms", run_algorithm_audits))
     h, kept = hashlib.sha256(), hashlib.sha256()
     rows = 0
-    for suite, run in suites:
-        for it in items:
-            for r in run(it):
-                key = repr((it.name, suite, r.name, r.tag, r.lhs, r.rhs, r.status)).encode()
-                h.update(key)
-                if not (it.name in E4DA_ONCE_SKIPPED and r.tag.startswith("ratio.e4da")):
-                    kept.update(key)
-                rows += 1
+    for name, tag, key in suite_major_rows(frozen_corpus(seeds=2)):
+        h.update(key)
+        if not (name in E4DA_ONCE_SKIPPED and tag.startswith("ratio.e4da")):
+            kept.update(key)
+        rows += 1
     assert rows == 1234
     assert kept.hexdigest() == CORPUS2_DIGEST_KEPT
     assert h.hexdigest() == CORPUS2_DIGEST
@@ -254,6 +247,20 @@ def test_max_slice_is_the_per_shift_maximum(A):
     slices = [GSet(A.group, A.mask & A.shift_minus(s).mask) for s in shifts]
     assert p.max_slice == (max(difference_set(A, X).card for X in slices),
                            max(sumset(A, X).card for X in slices))
+
+
+def test_slice_weighted_sum_matches_one_fraction_per_shift():
+    """The numerators summed per denominator give the per-shift Fraction sum:
+    the same printed value and the same decision, both signs, every item."""
+    for it in frozen_corpus(seeds=2):
+        p = Profile(it.A, it.B)
+        e3, a = p.E(3), p.a
+        for side in (0, 1):
+            want = sum((Fraction(int(p.ca[s]) ** 2, cards[side])
+                        for s, cards in p.slice_sumsets.items()), Fraction(0))
+            got = verify._slice_weighted_sum(p, side)
+            assert got[0] == repr(float(want)), (it.name, side)
+            assert got[2] == (want <= Fraction(e3, a * a)), (it.name, side)
 
 
 def test_profile_is_freed_without_the_cycle_collector():

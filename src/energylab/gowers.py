@@ -8,9 +8,15 @@ recovers the additive energy.  The normalized value is (count / N^{d+1})^{1/2^d}
 The recursion runs on the level-synchronous slice frontier of `setfun`, with
 each slice as its own partner: d - 2 levels of unique slices X cap (X - h)
 with exact multiplicities, then one pass summing |X cap (X - h)|^2 over the
-last level; counts on one set share its levels, held in the set's cache.  It
-forms the pairs of members itself, so it shares no code with the correlation
-and energy routes it is checked against.
+last level; counts on one set share its levels, held in the set's cache.  A
+level is one array of subset masks over A's members (bit i for the i-th
+smallest, one uint64 word per 64 members) and one multiplicity vector.  The
+pairs (x, y) inside each row are formed FRONTIER_CHUNK at a time, and the bits
+of x are OR-reduced by (row, y - x) into the child masks, whose popcounts are
+the pair counts; a row with more pairs takes its own shift table, built from its
+member pairs, and a singleton is its own only child, under h = 0.  It forms the
+pairs of members itself, so it shares no code with the correlation and energy
+routes it is checked against.
 
 `gowers_pair_u3` is one of those routes, an oracle for U_3 on A = B: the sum
 over shifts s of E(A cap (B - s)), batched over the shifts whose slices have
@@ -24,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfun import ROW_CHUNK_CELLS, GSet, _exact_sum, _frontier, _same_group, set_correlate
+from .setfun import (ROW_CHUNK_CELLS, GSet, _exact_sum, _frontier, _integer, _same_group,
+                     set_correlate)
 
 GOWERS_MAX_ORDER = 6
 MONOTONICITY_SLACK = 1e-12
@@ -46,13 +53,14 @@ def _check_order(d: int) -> None:
 
 def gowers_u(A: GSet, d: int) -> GowersValue:
     """Unnormalized order-d uniformity count of the indicator of A."""
+    d = _integer("d", d)
     _check_order(d)
     if A.card == 0:
         count = 0
     elif d == 1:
         count = A.card * A.card
     else:
-        count = _frontier(A, self_partner=True).total(d - 2, "-", square=True)
+        count = _frontier(A, self_partner=True).total(d - 2, "-")
     N = A.group.size
     normalized = (count / N ** (d + 1)) ** (1.0 / (1 << d))
     return GowersValue(count=count, d=d, normalized=normalized)

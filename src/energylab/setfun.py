@@ -20,11 +20,13 @@ row otherwise.  A slice table's Gram matrix (`SliceRows.gram`) counts rows: exac
 
 A set is a boolean membership array over the group's indices; that is its only
 representation, and `GSet.cache` its one cache of derived quantities.  The
-tuple-indexed counts, and the uniformity counts of `gowers`, run on the set's
-two level-synchronous slice frontiers (`_frontier`): each level holds the unique
-slices with exact multiplicities, is built once from the pairs of members in
-bounded chunks and is kept.  Their node budget counts one node per (unique
-slice, shift) expansion, kept ones included.
+tuple-indexed counts, and the uniformity counts of `gowers`, run on the set's two
+level-synchronous slice frontiers (`_frontier`).  A level is built once and kept:
+the unique slices as subset masks over A's members, one uint64 word per 64, with
+exact multiplicities.  A slice's children are ANDs against a shift table
+M[s] = {i : a_i + s in A} built from the member pairs, or, with each slice its own
+partner, ORs over its own pairs; a singleton is its own child.  The node budget
+counts one node per (unique slice, shift) expansion, kept ones included.
 """
 
 from __future__ import annotations
@@ -513,29 +515,8 @@ def difference_set(A: GSet, B: GSet) -> GSet:
 
 # -- tuple-indexed sumset counts ---------------------------------------------------
 
-# member pairs formed at once by the slice frontier; bounds its working set
+# masks or member pairs the slice frontier forms at once; bounds its working set
 FRONTIER_CHUNK = 1 << 14
-
-
-def _merge_rows(parts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique member rows of one size, with their multiplicities summed.
-
-    Rows are compared on their sorted members: packed into base-N digits when
-    that fits in int64, column by column otherwise."""
-    C = np.concatenate([c for c, _ in parts])
-    m = np.concatenate([m for _, m in parts])
-    k = C.shape[1]
-    if N ** k < INT64_SAFE_BOUND:
-        key = C @ (N ** np.arange(k, dtype=np.int64))
-        order = np.argsort(key)
-        key = key[order]
-        new = key[1:] != key[:-1]
-    else:
-        order = np.lexsort(C.T[::-1])
-        sorted_rows = C[order]
-        new = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-    first = np.flatnonzero(np.r_[True, new])
-    return C[order[first]], np.add.reduceat(m[order], first)
 
 
 def _spend(nodes: int, n: int, budget: int | None) -> int:
@@ -546,162 +527,178 @@ def _spend(nodes: int, n: int, budget: int | None) -> int:
     return nodes
 
 
+def _set_bits(out: np.ndarray, rows: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """out (mask rows) with member i[j] added to row rows[j]: bit i % 64 of word i // 64."""
+    np.bitwise_or.at(out.reshape(-1), rows * out.shape[1] + (i >> 6), np.uint64(1) << (i & 63).astype(np.uint64))
+    return out
+
+
+def _popcount(C: np.ndarray) -> np.ndarray:
+    """Members per mask row, a word column at a time (reducing a short axis is slow)."""
+    return sum(np.bitwise_count(col).astype(np.int64) for col in C.T)
+
+
+def _merge(C: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unique mask rows of C, each with the sum of its multiplicities in m:
+    one-member rows add up by the member's index, the others by one sort of
+    the words (a lexsort over the columns past one word)."""
+    one = _popcount(C) == 1
+    s, rest = np.flatnonzero(one), np.flatnonzero(~one)
+    idx = np.zeros(s.size, dtype=np.int64)
+    for j, col in enumerate(C.take(s, axis=0).T):  # the member: 64 j + the bits below it in word j
+        idx += np.where(col != 0, np.int64(64 * j) + np.bitwise_count(col - np.uint64(1)), 0)
+    single = np.zeros(n, dtype=m.dtype)
+    np.add.at(single, idx, m.take(s))
+    i = np.flatnonzero(single)
+    rest = rest[np.argsort(C[:, 0].take(rest)) if C.shape[1] == 1 else np.lexsort(C.take(rest, axis=0).T[::-1])]
+    C, m = C.take(rest, axis=0), m.take(rest)
+    first = np.flatnonzero(np.r_[len(C) > 0, _popcount(C[1:] ^ C[:-1]) != 0])
+    return (np.concatenate([_set_bits(np.zeros((i.size, C.shape[1]), np.uint64), np.arange(i.size), i),
+                            C[first]]), np.concatenate([single[i], np.add.reduceat(m, first)]))
+
+
 class _Frontier:
     """Level-synchronous slice expansion behind the slice-tuple and uniformity counts.
 
-    Level k holds the unique slices X reached after k shifts, each with the
-    exact number of shift tuples reaching it, as a dict mapping a size k to a
-    (rows, k) array of sorted members and the rows' multiplicities; level 0 is
-    {A}.  Expanding replaces every X by its children X cap (P - s), s in P - X
-    (exactly the shifts with a nonempty child), where the partner P is A for
-    the slice-tuple counts and X itself for the uniformity counts; equal
-    children merge and add their multiplicities.  A child's members are the x
-    of the pairs (x in X, y in P) with y - x = s, so one pass over the pairs,
-    grouped by (row, s), builds a whole level.
+    Every slice is a subset of A, so level k is one uint64 array of subset masks
+    over A's members (bit i for the i-th smallest, ceil(|A| / 64) words a row),
+    the unique slices X reached after k shifts, and one vector of the exact
+    numbers of shift tuples reaching them; level 0 is {A}.  Expanding replaces
+    every X by its nonempty children X cap (P - s), the partner P being A for the
+    slice-tuple counts and X for the uniformity counts, and merges equal children.
+    A child X & M[s] is read off the shift table M[s] = {i : a_i + s in A} over
+    A - A (the '+' counts: its twin over A + A), built once from the member pairs;
+    with X its own partner the bits of x are OR-reduced over the pairs (x, y) of
+    each row by (row, y - x).  A singleton {a_i} is its own and only child, under
+    |A| shifts or one, and takes no table pass and no pairs.
 
-    Every level built is kept with `nodes[k]`, the nodes of levels 1..k, and every
-    total with its own.  One node is one (unique slice, shift) expansion, so the
-    counts do not depend on the chunking; a budget caps them, kept ones and the
-    final pass included, and a level over the budget is never kept.
-    Pairs are formed at most FRONTIER_CHUNK at a time; a row with more pairs
-    than that is handled alone, its members in slices and its children from
-    boolean masks, a block of shifts at a time.
+    Every level built is kept with `nodes[k]`, the nodes of levels 1..k, and every total
+    with its own.  One node is one (unique slice, shift) expansion, so the counts do
+    not depend on the chunking; a budget caps them, kept ones and the final pass
+    included, and a level over the budget is never kept.
     """
 
     def __init__(self, A: GSet, self_partner: bool):
-        self.group = A.group
-        self.partner = None if self_partner else A.members
-        self.partner_mask = None if self_partner else A.mask
-        self.levels = [{A.card: (A.members[None, :], np.ones(1, dtype=np.int64))}]
-        self.nodes = [0]
-        self.totals: dict[tuple, tuple[int, int]] = {}
+        self.group, self.members, self.self_partner = A.group, A.members, self_partner
+        self.reach = 1 if self_partner else A.card
+        full = _set_bits(np.zeros((1, -(-A.card // 64)), np.uint64), np.zeros(A.card, np.int64), np.arange(A.card))
+        self.levels = [(full, np.ones(1, dtype=np.int64))]
+        self.nodes, self.tables, self.totals = [0], {}, {}
 
-    def _width(self, k: int) -> int:
-        """Partner size of a row with k members."""
-        return k if self.partner is None else self.partner.size
+    def _pair_table(self, i: np.ndarray, partner: np.ndarray, sign: str, build: bool):
+        """(t, count, mask) per value t = y -+ x over x = a_i and y in the partner:
+        the number of such pairs and, with `build`, the mask of their i.  Pairs
+        are formed a block of x at a time, at least N (FRONTIER_CHUNK) a block."""
+        N, op = self.group.size, self.group.sub_indices if sign == "-" else self.group.add_indices
+        step = max(1, max(FRONTIER_CHUNK, N) // partner.size)
+        blocks = [i[lo:lo + step] for lo in range(0, i.size, step)]
 
-    def _chunks(self, M: np.ndarray):
-        """Row ranges of M holding at most FRONTIER_CHUNK pairs; a row over the cap comes alone."""
-        n, k = M.shape
-        pairs = k * self._width(k)
-        step = max(1, FRONTIER_CHUNK // pairs)
-        for lo in range(0, n, step):
-            yield lo, min(lo + step, n), pairs > FRONTIER_CHUNK
+        def values(b):
+            return op(partner[None, :], self.members[b, None]).reshape(-1)
 
-    def _pairs(self, M: np.ndarray, op) -> np.ndarray:
-        """Keys row * N + op(y, x) over x in each row of M and y in its partner.
+        counts = sum(np.bincount(values(b), minlength=N) for b in blocks)
+        t = np.flatnonzero(counts)
+        masks = None
+        if build:
+            index = np.cumsum(counts > 0) - 1
+            masks = np.zeros((t.size, -(-self.members.size // 64)), dtype=np.uint64)
+            for b in blocks:
+                _set_bits(masks, index[values(b)], np.repeat(b, partner.size))
+        return t, counts[t], masks
 
-        Flat in (row, x, y) order, so pair i has x = M.flat[i // |partner|]."""
-        part = M[:, None, :] if self.partner is None else self.partner[None, None, :]
-        key = op(part, M[:, :, None])
-        key += (np.arange(M.shape[0], dtype=np.int64) * self.group.size)[:, None, None]
-        return key.reshape(-1)
+    def _table_children(self, rows: np.ndarray, sign: str, build: bool):
+        """(row, None, child) over the nonzero X & M[t], max(FRONTIER_CHUNK, |M|) words at a time."""
+        if sign not in self.tables:
+            self.tables[sign] = self._pair_table(np.arange(self.members.size), self.members, sign, True)[2]
+        M = self.tables[sign]
+        for lo in range(0, len(rows), max(1, FRONTIER_CHUNK // M.size)):
+            C = (rows[lo:lo + max(1, FRONTIER_CHUNK // M.size), None] & M).reshape(-1, M.shape[1])
+            nonzero = C[:, 0] != 0
+            for col in C.T[1:]:
+                nonzero |= col != 0
+            cell = np.flatnonzero(nonzero)
+            yield lo + cell // len(M), None, C.take(cell, axis=0) if build else None
 
-    def _row_counts(self, x: np.ndarray, op) -> np.ndarray:
-        """For one row over the cap: counts[t] = #{(x, y) : op(y, x) = t}."""
-        size = self.group.size
-        part = x if self.partner is None else self.partner
-        counts = np.zeros(size, dtype=np.int64)
-        # at least N pairs per slice, so each bincount pays for its N-long result
-        step = max(1, max(FRONTIER_CHUNK, size) // self._width(x.size))
-        for lo in range(0, x.size, step):
-            counts += np.bincount(op(part[None, :], x[lo:lo + step, None]).reshape(-1),
-                                  minlength=size)
-        return counts
+    def _pair_children(self, rows: np.ndarray, sign: str, build: bool):
+        """(row, pair count, child holding the x) per (row, value y -+ x) over the pairs x, y
+        in each row, FRONTIER_CHUNK pairs at a time (a row over that alone, on its own table)."""
+        a, N, words = self.members, self.group.size, rows.shape[1]
+        op = self.group.sub_indices if sign == "-" else self.group.add_indices
+        k = _popcount(rows)
+        cum = np.cumsum(k * k)
+        lo = 0
+        while lo < len(rows):
+            hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - k[lo] ** 2 + FRONTIER_CHUNK, "right")))
+            r, i = np.nonzero(np.unpackbits(rows[lo:hi].astype("<u8").view(np.uint8), axis=1, bitorder="little"))
+            if k[lo] ** 2 > FRONTIER_CHUNK:
+                t, counts, C = self._pair_table(i, a[i], sign, build)
+                yield np.full(t.size, lo), counts, C
+                lo = hi
+                continue
+            # pair p: entries x[p], y[p] of one row, by (row, x, y); entry e of
+            # row r(e) meets the k[r(e)] entries of its row
+            per = k[lo:hi][r]
+            x = np.repeat(np.arange(r.size), per)
+            start = (np.cumsum(k[lo:hi]) - k[lo:hi])[r]
+            y = np.repeat(start - np.cumsum(per) + per, per) + np.arange(x.size)
+            # a block has at most 2^12 rows and 2^13 entries (2+ members a row), so
+            # (row N + value) entries + x is unique and below 2^25 N: sorting the
+            # values orders the pairs by (row, value), then x
+            key = np.sort((r[x] * N + op(a[i[y]], a[i[x]])) * r.size + x)
+            x, key = key % r.size, key // r.size
+            new = np.diff(key, prepend=-1) != 0
+            first = np.flatnonzero(new)
+            C = _set_bits(np.zeros((first.size, words), np.uint64), np.cumsum(new) - 1, i[x]) if build else None
+            yield lo + key[first] // N, np.diff(np.append(first, key.size)), C
+            lo = hi
 
-    def _row_children(self, x: np.ndarray):
-        """(row, size, members) of the children of one row over the cap."""
-        g = self.group
-        N = g.size
-        counts = self._row_counts(x, g.sub_indices)
-        shifts = np.flatnonzero(counts)
-        own = np.zeros(N, dtype=bool)
-        own[x] = True
-        part = own if self.partner is None else self.partner_mask
-        step = max(1, FRONTIER_CHUNK // N)
-        members = []
-        for lo in range(0, shifts.size, step):
-            blk = shifts[lo:lo + step]
-            # row j, column z: z in X and z + s_j in P
-            moved = part[g.add_indices(g.index_range[None, :], blk[:, None])]
-            members.append(np.nonzero(moved & own)[1])
-        return np.zeros(shifts.size, dtype=np.int64), counts[shifts], np.concatenate(members)
+    def _sweep(self, depth: int, sign: str, budget: int | None, build: bool):
+        """(nodes, result) of level `depth` under `sign`: the node count of its
+        (row, value) cells and their total, or with `build` the merged children."""
+        rows, mult = self.levels[depth]
+        if self.group.size ** (depth + 1) >= INT64_SAFE_BOUND:
+            mult = mult.astype(object)
+        # a singleton is its own child, under `reach` values of one pair each
+        one = _popcount(rows) == 1
+        nodes = _spend(self.nodes[depth], self.reach * int(np.count_nonzero(one)), budget)
+        total, kids, weights = self.reach * _exact_sum(mult[one]), [rows[one]], [mult[one] * self.reach]
+        children, rest = self._pair_children if self.self_partner else self._table_children, mult[~one]
+        for r, counts, C in children(rows[~one], sign, build):
+            nodes = _spend(nodes, r.size, budget)
+            if build:
+                kids.append(C)
+                weights.append(rest[r])
+            else:
+                total += _exact_sum(rest[r]) if counts is None else _exact_sum(counts, 2, rest[r])
+        return nodes, _merge(np.concatenate(kids), np.concatenate(weights), self.members.size) if build else total
 
     def _expand(self, budget: int | None) -> None:
         """Append the children of the last level, one shift deeper."""
-        g = self.group
-        N = g.size
-        big = N ** len(self.levels) >= INT64_SAFE_BOUND
-        nodes = self.nodes[-1]
-        found: dict[int, list] = {}
-        for M, mult in self.levels[-1].values():
-            if big:
-                mult = mult.astype(object)
-            for lo, hi, alone in self._chunks(M):
-                if alone:
-                    rows, sizes, xs = self._row_children(M[lo])
-                else:
-                    # group the pairs by (row, s); the stable sort keeps each group's x ascending
-                    key = self._pairs(M[lo:hi], g.sub_indices)
-                    order = np.argsort(key, kind="stable")
-                    key = key[order]
-                    xs = M[lo:hi].reshape(-1)[order // self._width(M.shape[1])]
-                    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-                    sizes = np.diff(np.r_[first, key.size])
-                    rows = key[first] // N
-                nodes = _spend(nodes, sizes.size, budget)
-                # children of one size k become a (count, k) member array
-                starts = np.cumsum(sizes) - sizes
-                m = mult[lo + rows]
-                by = np.argsort(sizes, kind="stable")
-                ordered = sizes[by]
-                cuts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-                for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-                    sel = by[a:b]
-                    k = int(ordered[a])
-                    found.setdefault(k, []).append(
-                        (xs[starts[sel][:, None] + np.arange(k)], m[sel]))
-        self.levels.append({k: _merge_rows(parts, N) for k, parts in found.items()})
+        nodes, level = self._sweep(len(self.levels) - 1, "-", budget, build=True)
+        self.levels.append(level)
         self.nodes.append(nodes)
 
-    def total(self, depth: int, sign: str, square: bool, budget: int | None = None,
-              tick: bool = False) -> int:
+    def total(self, depth: int, sign: str, budget: int | None = None, tick: bool = False) -> int:
         """Sum over the rows X of level `depth` of mult(X) times the number of
-        distinct y -+ x, or with `square` the sum of squared pair counts per value,
-        over x in X, y in its partner.  `budget` caps the nodes of the levels, and
-        with `tick` also the total's own: one per (row, value)."""
+        distinct y -+ x over x in X, y in A (partner A), or the sum of squared pair
+        counts per value y -+ x over x, y in X (partner X).  `budget` caps the nodes
+        of the levels, and with `tick` also the total's own: one per (row, value)."""
         while len(self.levels) <= depth:
             self._expand(budget)
-        nodes = _spend(self.nodes[depth], 0, budget)
+        _spend(self.nodes[depth], 0, budget)
         cap = budget if tick else None
-        if (depth, sign, square) in self.totals:
-            total, nodes = self.totals[depth, sign, square]
-            _spend(nodes, 0, cap)
-            return total
-        N = self.group.size
-        op = self.group.sub_indices if sign == "-" else self.group.add_indices
-        total = 0
-        for M, mult in self.levels[depth].values():
-            for lo, hi, alone in self._chunks(M):
-                if alone:
-                    counts = self._row_counts(M[lo], op)
-                    counts = counts[counts > 0]
-                    rows = np.zeros(counts.size, dtype=np.int64)
-                else:
-                    key = self._pairs(M[lo:hi], op)
-                    cells = (hi - lo) * N
-                    if cells <= 4 * key.size:
-                        # dense rows: a table of every (row, value) beats sorting the pairs
-                        values = np.bincount(key, minlength=cells)
-                        rows = np.flatnonzero(values)
-                        counts = values[rows]
-                    else:
-                        rows, counts = np.unique(key, return_counts=True)
-                    rows //= N
-                nodes = _spend(nodes, counts.size, cap)
-                total += _exact_sum(counts, 2 if square else 0, mult[lo + rows])
-        self.totals[depth, sign, square] = total, nodes
+        if (depth, sign) not in self.totals:
+            self.totals[depth, sign] = self._sweep(depth, sign, cap, build=False)
+        nodes, total = self.totals[depth, sign]
+        _spend(nodes, 0, cap)
         return total
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, never a bool or a float."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frontier(A: GSet, self_partner: bool = False) -> _Frontier:
@@ -715,14 +712,14 @@ def count_nonempty_slice_tuples(A: GSet, arity: int, budget: int | None = None) 
 
     Equals the number of distinct tuples (a_1 - a, ..., a_arity - a) over a, a_i in A.
     """
+    arity = _integer("arity", arity)
     if arity < 0:
         raise ValueError("arity must be >= 0")
     if not A.card:
         return 0
     if arity == 0:
         return 1
-    return _frontier(A).total(arity - 1, "-", False,
-                              DEFAULT_NODE_BUDGET if budget is None else budget, tick=True)
+    return _frontier(A).total(arity - 1, "-", DEFAULT_NODE_BUDGET if budget is None else budget, tick=True)
 
 
 def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> int:
@@ -731,6 +728,7 @@ def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> 
     n == 2 additionally cross-checks the direct pair count against the
     shift-tuple identity; they must agree exactly.
     """
+    n = _integer("n", n)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if n < 2:
@@ -749,29 +747,30 @@ def delta_sumset_size(A: GSet, n: int, sign: str, budget: int | None = None) -> 
 def delta_pairs_direct(A: GSet, sign: str) -> int:
     """|A^2 -+ Delta(A)| by the direct distinct-pair sweep (no shift tuples).
 
-    Row x is the union of the translates A -+ a that contain x; the count is the
-    total size of the rows."""
+    Row x is the union of the translates A -+ a that contain x; the count is the total
+    size of the rows, built max(PAIR_PATH_LIMIT, N) cells (a block of x) at a time."""
     g = A.group
     moved = [A._roll(int(g.neg_perm[a]) if sign == "-" else int(a)) for a in A.members.tolist()]
-    reach = np.zeros(g.size, dtype=bool)
-    for m in moved:
-        reach |= m
-    pos = np.cumsum(reach) - 1
-    rows = np.zeros((int(np.count_nonzero(reach)), g.size), dtype=bool)
-    for m in moved:
-        rows[pos[m]] |= m
-    return int(np.count_nonzero(rows))
+    step = max(1, PAIR_PATH_LIMIT // g.size)
+    total = 0
+    for lo in range(0, g.size, step):
+        rows = np.zeros((min(step, g.size - lo), g.size), dtype=bool)
+        for m in moved:
+            rows[np.flatnonzero(m[lo:lo + step])] |= m
+        total += int(np.count_nonzero(rows))
+    return total
 
 
 def tuple_sumset_sum(A: GSet, arity: int, sign: str, budget: int | None = None) -> int:
     """sum over nonempty arity-tuples of |A -+ A_tuple| (the identity-path summand)."""
+    arity = _integer("arity", arity)
     if arity < 0:
         raise ValueError("arity must be >= 0")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if not A.card:
         return 0
-    return _frontier(A).total(arity, sign, False, DEFAULT_NODE_BUDGET if budget is None else budget)
+    return _frontier(A).total(arity, sign, DEFAULT_NODE_BUDGET if budget is None else budget)
 
 
 # -- inclusion checks -----------------------------------------------------------
